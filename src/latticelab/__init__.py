@@ -65,6 +65,7 @@ from .shellability import (
     ELVerdict,
     el_search,
     is_el_labeling,
+    is_el_labeling_naive,
     is_increasing,
     label_vector,
     lm_labeling,

@@ -25,6 +25,8 @@ def parse_covers(text):
             pairs = [(int(a), int(b)) for a, b in obj["covers"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad JSON lattice object: {exc!r}") from exc
+        if n < 0:
+            raise FormatError(f"negative element count {n}")
         return n, pairs
     n = None
     pairs = []
@@ -42,6 +44,8 @@ def parse_covers(text):
                 n = int(fields[0])
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: bad count {raw!r}") from exc
+            if n < 0:
+                raise FormatError(f"line {lineno}: negative element count {n}")
             continue
         if len(fields) != 2:
             raise FormatError(

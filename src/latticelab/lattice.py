@@ -91,15 +91,17 @@ class Lattice:
         return self.lower_covers[self.top]
 
     def relabel(self, perm):
-        n = self.n
-        join = np.zeros_like(self.join)
-        meet = np.zeros_like(self.meet)
-        for a in range(n):
-            for b in range(n):
-                join[perm[a], perm[b]] = perm[self.join[a, b]]
-                meet[perm[a], perm[b]] = perm[self.meet[a, b]]
+        "Copy with element i renamed to perm[i]."
+        poset = self.poset.relabel(perm)
+        ids = np.asarray(perm, dtype=self.join.dtype)
+        inverse = np.argsort(ids)
+        square = np.ix_(inverse, inverse)
         return Lattice(
-            self.poset.relabel(perm), join, meet, perm[self.bot], perm[self.top]
+            poset,
+            ids[self.join[square]],
+            ids[self.meet[square]],
+            perm[self.bot],
+            perm[self.top],
         )
 
     def canonicalize(self):

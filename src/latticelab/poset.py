@@ -28,32 +28,33 @@ def _closure_from_covers(n, covers):
 
 
 def _find_cycle(n, pairs):
-    "Return a cyclic path if the digraph of pairs has one, else None."
+    """Return a cyclic path if the digraph of pairs has one, else None.
+
+    Depth-first search with an explicit stack, so long chains cannot hit
+    the interpreter's recursion limit.
+    """
     succ = [[] for _ in range(n)]
     for a, b in pairs:
         succ[a].append(b)
-    state = [0] * n  # 0 unseen, 1 on stack, 2 done
-    stack = []
-
-    def visit(v):
-        state[v] = 1
-        stack.append(v)
-        for w in succ[v]:
-            if state[w] == 1:
-                return stack[stack.index(w):] + [w]
-            if state[w] == 0:
-                found = visit(w)
-                if found:
-                    return found
-        stack.pop()
-        state[v] = 2
-        return None
-
-    for v in range(n):
-        if state[v] == 0:
-            found = visit(v)
-            if found:
-                return found
+    state = [0] * n  # 0 unseen, 1 on the path, 2 done
+    for root in range(n):
+        if state[root]:
+            continue
+        state[root] = 1
+        path = [root]
+        todo = [iter(succ[root])]
+        while todo:
+            for w in todo[-1]:
+                if state[w] == 1:
+                    return path[path.index(w):] + [w]
+                if state[w] == 0:
+                    state[w] = 1
+                    path.append(w)
+                    todo.append(iter(succ[w]))
+                    break
+            else:
+                todo.pop()
+                state[path.pop()] = 2
     return None
 
 
@@ -137,11 +138,8 @@ class FinitePoset:
         if sorted(perm) != list(range(self.n)):
             raise ValueError(f"not a permutation of 0..{self.n - 1}: {perm!r}")
         covers = [(perm[a], perm[b]) for a, b in self.covers]
-        leq = np.zeros_like(self.leq)
-        for i in range(self.n):
-            for j in range(self.n):
-                leq[perm[i], perm[j]] = self.leq[i, j]
-        return FinitePoset(self.n, covers, leq)
+        inverse = np.argsort(perm)
+        return FinitePoset(self.n, covers, self.leq[np.ix_(inverse, inverse)])
 
 
 def poset_from_covers(n, pairs):

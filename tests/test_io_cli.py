@@ -37,6 +37,13 @@ def test_parse_errors_name_lines():
         parse_covers('{"covers": []}')
 
 
+def test_parse_rejects_negative_counts():
+    with pytest.raises(FormatError, match="line 2: negative"):
+        parse_covers("# no elements\n-3\n")
+    with pytest.raises(FormatError, match="negative"):
+        parse_covers('{"n": -3, "covers": []}')
+
+
 def test_format_roundtrip():
     L = zoo.hexagon()
     text = format_covers(L.n, L.covers)
@@ -196,6 +203,15 @@ def test_cli_bad_file_reports_and_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.lat"
     bad.write_text("3\n0 1 junk\n")
     assert main(["check", str(bad)]) == 2
+
+
+def test_cli_negative_count_is_a_usage_error(tmp_path, capsys):
+    for text in ("-3\n", '{"n": -3, "covers": []}'):
+        path = tmp_path / "negative.lat"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "negative element count" in err
 
 
 def test_cli_usage_error_exit_code():

@@ -11,6 +11,7 @@ from latticelab.errors import (
     NotReducedError,
 )
 from latticelab.poset import (
+    _find_cycle,
     canonical_form,
     canonical_relabeling,
     canonicalize,
@@ -48,6 +49,17 @@ def test_rejects_implied_pair():
 def test_rejects_cycle():
     with pytest.raises(CycleError):
         poset_from_covers(3, [(0, 1), (1, 2), (2, 0)])
+
+
+def test_find_cycle_walks_long_paths_without_recursion():
+    n = 5000
+    assert _find_cycle(n, [(i, i + 1) for i in range(n - 1)]) is None
+    # A back edge reached from a branch: the cycle starts where it closes.
+    assert _find_cycle(5, [(0, 1), (1, 2), (2, 3), (3, 1), (0, 4)]) == [1, 2, 3, 1]
+    n = 3000
+    with pytest.raises(CycleError) as err:
+        poset_from_covers(n, [(i, (i + 1) % n) for i in range(n)])
+    assert err.value.path == tuple(range(n)) + (0,)
 
 
 def test_rejects_duplicates_and_bad_pairs():

@@ -1,19 +1,24 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latticelab import zoo
+from latticelab.atlas import enumerate_lattices
 from latticelab.errors import (
     ChainNotLeftModular,
     ChainNotMaximumLength,
     PartialLabelingError,
 )
-from latticelab.lattice import ideal_lattice
+from latticelab.lattice import ideal_lattice, try_lattice
+from latticelab.poset import poset_from_covers, transitive_reduce
 from latticelab.properties import left_modular_chain
 from latticelab.shellability import (
     el_search,
     format_labeling,
     is_el_labeling,
+    is_el_labeling_naive,
     is_increasing,
     label_vector,
     lm_labeling,
@@ -196,3 +201,124 @@ def test_one_point_lattice_is_trivially_shellable():
     assert result.status == "shellable"
     assert result.labeling == {}
     assert is_el_labeling(zoo.chain(0), {})
+
+
+# ---------------------------------------------------------------------------
+# The polynomial verifier against the brute-force oracle
+# ---------------------------------------------------------------------------
+
+REASONS = {
+    "no_increasing_chain",
+    "multiple_increasing_chains",
+    "increasing_not_lex_min",
+}
+
+
+def assert_matches_oracle(L, labeling):
+    "Both readings give the oracle's verdict, diagnostics included."
+    for strict in (False, True):
+        verdict = is_el_labeling(L, labeling, strict_lex=strict)
+        assert verdict == is_el_labeling_naive(L, labeling, strict_lex=strict), (
+            L,
+            labeling,
+        )
+    return verdict
+
+
+@pytest.fixture(scope="module")
+def small_lattices():
+    return [L for n in range(1, 8) for L in enumerate_lattices(n)]
+
+
+def test_verifier_matches_oracle_on_certificates(small_lattices):
+    certified = 0
+    for L in small_lattices:
+        chain = left_modular_chain(L)
+        if chain is not None:
+            assert assert_matches_oracle(L, lm_labeling(L, chain))
+        result = el_search(L)
+        if result.labeling is not None:
+            assert assert_matches_oracle(L, result.labeling)
+            certified += 1
+    assert certified == 71
+
+
+def test_verifier_matches_oracle_on_drawn_labelings(small_lattices):
+    reasons = set()
+
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def check(data):
+        L = data.draw(st.sampled_from(small_lattices))
+        top = data.draw(st.integers(1, 4))
+        values = data.draw(
+            st.lists(
+                st.integers(1, top),
+                min_size=len(L.covers),
+                max_size=len(L.covers),
+            )
+        )
+        reasons.add(assert_matches_oracle(L, dict(zip(L.covers, values))).reason)
+
+    check()
+    assert reasons >= REASONS
+
+
+def partition_lattice(k):
+    "Set partitions of a k-set ordered by refinement."
+    parts = [()]
+    for x in range(k):
+        parts = [
+            q[:i] + (q[i] | {x},) + q[i + 1:] for q in parts for i in range(len(q))
+        ] + [q + (frozenset({x}),) for q in parts]
+    pairs = [
+        (i, j)
+        for i, p in enumerate(parts)
+        for j, q in enumerate(parts)
+        if i != j and all(any(b <= c for c in q) for b in p)
+    ]
+    return try_lattice(transitive_reduce(len(parts), pairs))
+
+
+def perturbed(labeling, rng):
+    "The labeling with one cover relabeled, or two covers' labels swapped."
+    out = dict(labeling)
+    covers = sorted(out)
+    e, f = rng.sample(covers, 2)
+    if rng.random() < 0.5:
+        out[e], out[f] = out[f], out[e]
+    else:
+        out[e] = rng.randint(0, max(out.values()) + 1)
+    return out
+
+
+def test_verifier_matches_oracle_on_larger_lattices():
+    rng = random.Random(11)
+    poset = poset_from_covers(7, [(0, 3), (1, 3), (1, 4), (2, 5), (4, 6)])
+    lattices = [
+        zoo.boolean(5),
+        partition_lattice(4),
+        zoo.chain(39),
+        ideal_lattice(poset)[0],
+        ideal_lattice(zoo.vee_plus_isolated())[0],
+    ]
+    assert [L.n for L in lattices[:3]] == [32, 15, 40]
+    reasons = set()
+    for L in lattices:
+        labels = lm_labeling(L, left_modular_chain(L))
+        assert assert_matches_oracle(L, labels)
+        for _ in range(12):
+            reasons.add(assert_matches_oracle(L, perturbed(labels, rng)).reason)
+    assert reasons >= REASONS
+
+
+def test_verifier_is_polynomial_on_a_long_chain():
+    L = zoo.chain(299)
+    labels = lm_labeling(L, tuple(range(300)))
+    start = time.perf_counter()
+    assert is_el_labeling(L, labels)
+    assert time.perf_counter() - start < 0.5
+    labels[(150, 151)] = 0
+    verdict = is_el_labeling(L, labels)
+    assert verdict.interval == (149, 151)
+    assert verdict.reason == "no_increasing_chain"
