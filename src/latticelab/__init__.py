@@ -42,6 +42,7 @@ from .irreducibles import (
 from .io import format_covers, parse_covers, to_dot
 from .lattice import Interval, Lattice, dual, ideal_lattice, interval, try_lattice
 from .poset import (
+    MAX_ELEMENTS,
     FinitePoset,
     canonical_form,
     canonicalize,

@@ -35,29 +35,24 @@ SCHEMA_VERSION = 1
 def _down_set_extensions(p):
     """Down-sets D of p such that adding a new maximal element above D
     keeps every pairwise meet defined (D cut below any element must have a
-    single maximal member)."""
+    single maximal member).
+
+    Sets are bitmasks over the elements, scanned in increasing order.  A
+    set D qualifies exactly when D cut below every element is a principal
+    down-set: the cut below a member x is then the down-set of x, so D is
+    down-closed, and a down-set has a single maximal member exactly when
+    it is the down-set of that member.
+    """
     n = p.n
-    down = [frozenset(x for x in range(n) if p.leq[x, a]) for a in range(n)]
-    out = []
-    for mask in range(1, 1 << n):
-        members = frozenset(x for x in range(n) if mask >> x & 1)
-        if any(not set(p.lower_covers[x]) <= members for x in members):
-            continue  # not down-closed
-        ok = True
-        for a in range(n):
-            cut = members & down[a]
-            if not cut:
-                ok = False
-                break
-            maximal = [
-                x for x in cut if not any(p.leq[x, y] and x != y for y in cut)
-            ]
-            if len(maximal) != 1:
-                ok = False
-                break
-        if ok:
-            out.append(members)
-    return out
+    principal = [
+        sum(1 << x for x in range(n) if p.leq[x, a]) for a in range(n)
+    ]
+    principal_set = set(principal)
+    return [
+        frozenset(x for x in range(n) if mask >> x & 1)
+        for mask in range(1, 1 << n)
+        if all(mask & down in principal_set for down in principal)
+    ]
 
 
 def _extend_with_maximal(p, members):

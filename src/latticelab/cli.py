@@ -24,7 +24,7 @@ from .irreducibles import (
     perspectivity_witness_recursive,
     perspectivity_witness_scan,
 )
-from .lattice import dual, ideal_lattice, try_lattice
+from .lattice import DEFAULT_IDEAL_CAP, dual, ideal_lattice, try_lattice
 from .poset import poset_from_covers
 from .properties import left_modular_chain
 from .shellability import (
@@ -226,7 +226,7 @@ def build_parser():
 
     p = add("ideals", cmd_ideals, "write the lattice of down-sets of a poset")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=4096)
+    p.add_argument("--cap", type=int, default=DEFAULT_IDEAL_CAP)
     p.add_argument("--dot", metavar="PATH")
 
     p = add("dual", cmd_dual, "write the dual lattice")

@@ -113,7 +113,7 @@ class PartialLabelingError(LatticeError):
 
 
 class BoundExceededError(LatticeError):
-    "Enumeration request beyond the supported size."
+    "A size beyond what is supported (enumeration n, element count)."
 
 
 class AtlasParseError(LatticeError):

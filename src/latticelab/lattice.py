@@ -17,7 +17,12 @@ from .errors import (
     NoUniqueJoin,
     NoUniqueMeet,
 )
-from .poset import FinitePoset, canonical_relabeling
+from .poset import (
+    MAX_ELEMENTS,
+    FinitePoset,
+    _seed_canonical,
+    canonical_relabeling,
+)
 
 
 class Lattice:
@@ -105,7 +110,10 @@ class Lattice:
         )
 
     def canonicalize(self):
-        return self.relabel(canonical_relabeling(self.poset))
+        "Relabeled copy in canonical form; its poset knows it is canonical."
+        L = self.relabel(canonical_relabeling(self.poset))
+        _seed_canonical(L.poset, self.poset)
+        return L
 
 
 def _minimal_of(leq, members):
@@ -213,7 +221,7 @@ def interval(L, a, b):
     return Interval(a, b, sub, tuple(members))
 
 
-DEFAULT_IDEAL_CAP = 4096
+DEFAULT_IDEAL_CAP = MAX_ELEMENTS
 
 
 def ideal_lattice(p, cap=DEFAULT_IDEAL_CAP):

@@ -10,11 +10,24 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    BoundExceededError,
     CycleError,
     DuplicatePairError,
     InvalidCoverError,
     NotReducedError,
 )
+
+# The largest element count a poset may have.  It is the default cap of
+# ideal_lattice, so every lattice the CLI writes can be read back, and it
+# is checked before anything of size n is allocated.
+MAX_ELEMENTS = 4096
+
+
+def _check_size(n):
+    if not 0 <= n <= MAX_ELEMENTS:
+        raise BoundExceededError(
+            f"element count {n} is outside 0..{MAX_ELEMENTS}"
+        )
 
 
 def _closure_from_covers(n, covers):
@@ -133,6 +146,11 @@ class FinitePoset:
         below = self.leq.sum(axis=0)
         return tuple(sorted(range(self.n), key=lambda v: (below[v], v)))
 
+    @cached_property
+    def _canonical(self):
+        "(canonical relabeling, canonical form), searched once."
+        return _canonical_search(self)
+
     def relabel(self, perm):
         "Copy with element i renamed to perm[i]."
         if sorted(perm) != list(range(self.n)):
@@ -148,6 +166,7 @@ def poset_from_covers(n, pairs):
     Rejects pairs implied by longer paths instead of silently reducing
     them: a redundant pair in hand-written data usually means a typo.
     """
+    _check_size(n)
     pair_set = _check_pairs(n, pairs)
     cycle = _find_cycle(n, pair_set)
     if cycle:
@@ -172,6 +191,7 @@ def transitive_reduce(n, pairs):
     The input may mix covers and implied relations; the result's cover set
     is the transitive reduction of the input's transitive closure.
     """
+    _check_size(n)
     pair_set = {(a, b) for a, b in pairs}
     for pair in pair_set:
         a, b = pair
@@ -198,27 +218,120 @@ def transitive_reduce(n, pairs):
 
 
 def _refined_colors(p):
-    n = p.n
-    colors = [
-        (len(p.lower_covers[v]), len(p.upper_covers[v]), p.levels[v])
-        for v in range(n)
-    ]
-    palette = sorted(set(colors))
-    colors = [palette.index(c) for c in colors]
+    downs, ups = p.lower_covers, p.upper_covers
+    colors = _ranks(list(zip(map(len, downs), map(len, ups), p.levels)))
     while True:
         signature = [
             (
-                colors[v],
-                tuple(sorted(colors[w] for w in p.lower_covers[v])),
-                tuple(sorted(colors[w] for w in p.upper_covers[v])),
+                c,
+                tuple(sorted([colors[w] for w in down])),
+                tuple(sorted([colors[w] for w in up])),
             )
-            for v in range(n)
+            for c, down, up in zip(colors, downs, ups)
         ]
-        palette = sorted(set(signature))
-        new = [palette.index(s) for s in signature]
+        new = _ranks(signature)
         if new == colors:
             return colors
         colors = new
+
+
+def _ranks(keys):
+    "Each key's index among the distinct keys in sorted order."
+    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return [rank[k] for k in keys]
+
+
+def _canonical_search(p):
+    """(perm, form) for p: the colour-respecting relabeling whose encoding
+    is least, and that encoding.
+
+    The encoding lists, slot by slot, the chunk of slot s: whether the
+    element on slot t is covered by it, for t < s, then whether it is
+    covered by the element on slot t.  Slots are filled colour class by
+    colour class with candidates in increasing id, depth first on an
+    explicit stack; a subtree is cut once its chunks exceed the best
+    leaf's, and the first least leaf wins.
+
+    A chunk is kept as one integer per element, updated along the cover
+    edges as slots fill: bit n-1-t of ``low[v]`` says slot t is covered by
+    v, the same bit of ``high[v]`` that v is covered by slot t, so
+    comparing (low << n) | high compares chunks lexicographically.
+    Chunks are compared with the best leaf's only while the path ties it;
+    ``below`` is the slot where the path went strictly below the best.
+    """
+    n = p.n
+    if n == 0:
+        return (), n.to_bytes(4, "big")
+    colors = _refined_colors(p)
+    by_color = {}
+    for v, c in enumerate(colors):
+        by_color.setdefault(c, []).append(v)
+    slot_class = []
+    for c in sorted(by_color):
+        slot_class.extend([by_color[c]] * len(by_color[c]))
+    ups, downs = p.upper_covers, p.lower_covers
+
+    low = [0] * n
+    high = [0] * n
+    used = [False] * n
+    path = []
+    chunks = []
+    best = best_path = None
+    below = -1  # no best leaf yet: everything is below it
+    todo = [iter(slot_class[0])]
+    while todo:
+        s = len(todo) - 1
+        if below >= s:
+            below = n  # path[:s] ties the best leaf again
+        for v in todo[-1]:
+            if used[v]:
+                continue
+            chunk = low[v] << n | high[v]
+            if below >= s:
+                if chunk > best[s]:
+                    continue
+                if chunk < best[s]:
+                    below = s
+            if s + 1 < n:
+                break
+            if below < n:  # a leaf strictly below the best one
+                best, best_path, below = chunks + [chunk], path + [v], n
+        else:
+            todo.pop()
+            if path:  # take the last filled slot's element off the path
+                v = path.pop()
+                chunks.pop()
+                used[v] = False
+                clear = ~(1 << (n - len(todo)))
+                for w in ups[v]:
+                    low[w] &= clear
+                for w in downs[v]:
+                    high[w] &= clear
+            continue
+        bit = 1 << (n - 1 - s)
+        for w in ups[v]:
+            low[w] |= bit
+        for w in downs[v]:
+            high[w] |= bit
+        used[v] = True
+        path.append(v)
+        chunks.append(chunk)
+        todo.append(iter(slot_class[s + 1]))
+
+    perm = [0] * n
+    for slot, v in enumerate(best_path):
+        perm[v] = slot
+    # The form packs the winning chunks: slot s gives the top s bits of
+    # its low half, then those of its high half, padded to whole bytes.
+    mask = (1 << n) - 1
+    bits = 0
+    for s, chunk in enumerate(best):
+        bits = bits << s | chunk >> (2 * n - s)
+        bits = bits << s | (chunk & mask) >> (n - s)
+    width = n * (n - 1)
+    pad = -width % 8
+    form = (bits << pad).to_bytes((width + pad) // 8, "big")
+    return tuple(perm), n.to_bytes(4, "big") + form
 
 
 def canonical_relabeling(p):
@@ -226,78 +339,26 @@ def canonical_relabeling(p):
 
     The canonical labeling minimizes the triangular adjacency encoding of
     the cover matrix over all colour-respecting relabelings (sound because
-    refined colours are isomorphism invariants).
+    refined colours are isomorphism invariants).  The search runs once per
+    poset; later calls read its memo.
     """
-    n = p.n
-    if n == 0:
-        return ()
-    colors = _refined_colors(p)
-    # Slots grouped by colour: all colour-0 elements first, and so on.
-    by_color = {}
-    for v, c in enumerate(colors):
-        by_color.setdefault(c, []).append(v)
-    slot_color = []
-    for c in sorted(by_color):
-        slot_color.extend([c] * len(by_color[c]))
-
-    cover = np.zeros((n, n), dtype=bool)
-    for a, b in p.covers:
-        cover[a, b] = True
-
-    best_bits = None
-    best_assignment = None
-    assignment = [None] * n  # slot -> element
-    used = [False] * n
-    bits = []
-
-    def extend(slot):
-        nonlocal best_bits, best_assignment
-        if slot == n:
-            if best_bits is None or bits < best_bits:
-                best_bits = list(bits)
-                best_assignment = list(assignment)
-            return
-        for v in by_color[slot_color[slot]]:
-            if used[v]:
-                continue
-            chunk = []
-            for t in range(slot):
-                chunk.append(cover[assignment[t], v])
-            for t in range(slot):
-                chunk.append(cover[v, assignment[t]])
-            bits.extend(chunk)
-            prefix = len(bits)
-            if best_bits is None or bits <= best_bits[:prefix]:
-                assignment[slot] = v
-                used[v] = True
-                extend(slot + 1)
-                used[v] = False
-                assignment[slot] = None
-            del bits[prefix - len(chunk):]
-
-    extend(0)
-    perm = [0] * n
-    for slot, v in enumerate(best_assignment):
-        perm[v] = slot
-    return tuple(perm)
+    return p._canonical[0]
 
 
 def canonical_form(p):
     """Byte string determined exactly by the isomorphism class of p."""
-    n = p.n
-    perm = canonical_relabeling(p)
-    cover = np.zeros((n, n), dtype=bool)
-    for a, b in p.covers:
-        cover[perm[a], perm[b]] = True
-    bits = []
-    for s in range(n):
-        for t in range(s):
-            bits.append(cover[t, s])
-        for t in range(s):
-            bits.append(cover[s, t])
-    return n.to_bytes(4, "big") + np.packbits(
-        np.asarray(bits, dtype=np.uint8)
-    ).tobytes()
+    return p._canonical[1]
+
+
+def _seed_canonical(q, p):
+    """Record on q, the canonical relabeling of p, that it is canonical.
+
+    On a canonically labeled poset the search's first leaf is the identity
+    path and no leaf is strictly smaller, so its result would be the
+    identity and p's form.
+    """
+    q.__dict__["_canonical"] = (tuple(range(q.n)), canonical_form(p))
+    return q
 
 
 def poset_from_canonical(form):
@@ -319,7 +380,7 @@ def poset_from_canonical(form):
 
 def canonicalize(p):
     "Relabeled copy of p in canonical form."
-    return p.relabel(canonical_relabeling(p))
+    return _seed_canonical(p.relabel(canonical_relabeling(p)), p)
 
 
 def is_isomorphic(p, q):

@@ -99,6 +99,15 @@ def left_modular_elements(L):
     ]
 
 
+def _left_modular_set(L):
+    """left_modular_elements(L) as a frozenset, computed once per lattice
+    and kept on it (a Lattice never changes)."""
+    memo = L.__dict__
+    if "_left_modular_set" not in memo:
+        memo["_left_modular_set"] = frozenset(left_modular_elements(L))
+    return memo["_left_modular_set"]
+
+
 def left_modular_chain(L):
     """Lexicographically least maximum-length maximal chain of left-modular elements.
 
@@ -107,7 +116,7 @@ def left_modular_chain(L):
     cover edges restricted to left-modular elements, pruned by the longest
     remaining path.
     """
-    lm = set(left_modular_elements(L))
+    lm = _left_modular_set(L)
     if L.bot not in lm or L.top not in lm:
         return None
     k = length(L)

@@ -34,7 +34,7 @@ from .irreducibles import (
     join_irreducibles,
     length,
 )
-from .properties import left_modular_elements
+from .properties import _left_modular_set
 
 DEFAULT_EL_BUDGET = 10_000_000
 
@@ -51,7 +51,7 @@ def lm_labeling(L, chain):
         raise ChainNotMaximumLength(
             f"chain has length {len(chain) - 1}, lattice has {length(L)}"
         )
-    lm = set(left_modular_elements(L))
+    lm = _left_modular_set(L)
     for c in chain:
         if c not in lm:
             raise ChainNotLeftModular(c)
@@ -447,7 +447,7 @@ def el_search(L, budget=DEFAULT_EL_BUDGET, strict_lex=False):
 
     perm = canonical_relabeling(L.poset)
     if any(perm[i] != i for i in range(L.n)):
-        result = el_search(L.relabel(perm), budget, strict_lex)
+        result = el_search(L.canonicalize(), budget, strict_lex)
         if result.labeling is None:
             return result
         labeling = {

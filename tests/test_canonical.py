@@ -1,0 +1,246 @@
+"""Canonical labeling: the stack-based search against the recursive one it
+replaced, byte identity of the forms, and the once-per-poset memo."""
+
+import hashlib
+import random
+
+import numpy as np
+import pytest
+
+from latticelab import zoo
+from latticelab.atlas import (
+    _down_set_extensions,
+    _meet_closed_posets,
+    enumerate_lattices,
+)
+from latticelab.poset import (
+    FinitePoset,
+    canonical_form,
+    canonical_relabeling,
+    canonicalize,
+    is_isomorphic,
+    transitive_reduce,
+)
+
+
+def reference_colors(p):
+    "Colour refinement as the library computed it before."
+    n = p.n
+    colors = [
+        (len(p.lower_covers[v]), len(p.upper_covers[v]), p.levels[v])
+        for v in range(n)
+    ]
+    palette = sorted(set(colors))
+    colors = [palette.index(c) for c in colors]
+    while True:
+        signature = [
+            (
+                colors[v],
+                tuple(sorted(colors[w] for w in p.lower_covers[v])),
+                tuple(sorted(colors[w] for w in p.upper_covers[v])),
+            )
+            for v in range(n)
+        ]
+        palette = sorted(set(signature))
+        new = [palette.index(s) for s in signature]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def reference_canonical(p):
+    """(perm, form) by the recursive search the library used before: every
+    node re-reads the numpy cover matrix and compares the whole bit prefix
+    with the best leaf's."""
+    n = p.n
+    if n == 0:
+        return (), n.to_bytes(4, "big")
+    colors = reference_colors(p)
+    by_color = {}
+    for v, c in enumerate(colors):
+        by_color.setdefault(c, []).append(v)
+    slot_color = []
+    for c in sorted(by_color):
+        slot_color.extend([c] * len(by_color[c]))
+
+    cover = np.zeros((n, n), dtype=bool)
+    for a, b in p.covers:
+        cover[a, b] = True
+
+    best_bits = None
+    best_assignment = None
+    assignment = [None] * n  # slot -> element
+    used = [False] * n
+    bits = []
+
+    def extend(slot):
+        nonlocal best_bits, best_assignment
+        if slot == n:
+            if best_bits is None or bits < best_bits:
+                best_bits = list(bits)
+                best_assignment = list(assignment)
+            return
+        for v in by_color[slot_color[slot]]:
+            if used[v]:
+                continue
+            chunk = []
+            for t in range(slot):
+                chunk.append(cover[assignment[t], v])
+            for t in range(slot):
+                chunk.append(cover[v, assignment[t]])
+            bits.extend(chunk)
+            prefix = len(bits)
+            if best_bits is None or bits <= best_bits[:prefix]:
+                assignment[slot] = v
+                used[v] = True
+                extend(slot + 1)
+                used[v] = False
+                assignment[slot] = None
+            del bits[prefix - len(chunk):]
+
+    extend(0)
+    perm = [0] * n
+    for slot, v in enumerate(best_assignment):
+        perm[v] = slot
+    form = n.to_bytes(4, "big") + np.packbits(
+        np.asarray(best_bits, dtype=np.uint8)
+    ).tobytes()
+    return tuple(perm), form
+
+
+def reference_down_set_extensions(p):
+    "The frozenset scan _down_set_extensions replaced."
+    n = p.n
+    down = [frozenset(x for x in range(n) if p.leq[x, a]) for a in range(n)]
+    out = []
+    for mask in range(1, 1 << n):
+        members = frozenset(x for x in range(n) if mask >> x & 1)
+        if any(not set(p.lower_covers[x]) <= members for x in members):
+            continue
+        ok = True
+        for a in range(n):
+            cut = members & down[a]
+            maximal = [
+                x for x in cut if not any(p.leq[x, y] and x != y for y in cut)
+            ]
+            if len(maximal) != 1:
+                ok = False
+                break
+        if ok:
+            out.append(members)
+    return out
+
+
+def fresh(p):
+    "A structurally equal copy with no memo."
+    return FinitePoset(p.n, p.covers, p.leq)
+
+
+def random_perm(n, rng):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm
+
+
+def shuffled(p, rng):
+    return fresh(p.relabel(random_perm(p.n, rng)))
+
+
+# Digests of the concatenated canonical forms of enumerate_lattices(n),
+# fixed by the recursive search (n = 9 gives c61f84549f6cbce0; too slow
+# here).
+FORM_DIGESTS = {
+    1: "b40711a88c703975",
+    2: "865c4463e1a74b48",
+    3: "711053510ddfcd1e",
+    4: "5db4a5df2f0fae96",
+    5: "7099e45fe2f8cf2f",
+    6: "d6dcaf3dee82c4bf",
+    7: "1060997269a5bae0",
+    8: "f2553b2c05aed6c7",
+}
+
+
+@pytest.mark.parametrize("n", sorted(FORM_DIGESTS))
+def test_canonical_forms_are_byte_identical(n):
+    forms = b"".join(canonical_form(L.poset) for L in enumerate_lattices(n))
+    assert hashlib.sha256(forms).hexdigest()[:16] == FORM_DIGESTS[n]
+
+
+def test_search_matches_the_recursive_reference():
+    rng = random.Random(3)
+    posets = [L.poset for n in range(1, 9) for L in enumerate_lattices(n)]
+    posets += [p for k in range(1, 8) for p in _meet_closed_posets(k)]
+    assert len(posets) == 300 + 299
+    for p in posets:
+        for _ in range(2):
+            q = shuffled(p, rng)
+            perm, form = reference_canonical(q)
+            assert canonical_relabeling(q) == perm, q
+            assert canonical_form(q) == form, q
+
+
+def test_search_matches_the_reference_on_random_posets():
+    "Posets with wide colour classes (antichains, forests) as well."
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        density = rng.random() / 2
+        pairs = [
+            (a, b) for a in range(n) for b in range(a + 1, n)
+            if rng.random() < density
+        ]
+        q = shuffled(transitive_reduce(n, pairs), rng)
+        assert (canonical_relabeling(q), canonical_form(q)) == reference_canonical(q)
+
+
+def test_enumerated_lattices_are_canonically_labeled():
+    for n in range(1, 9):
+        for L in enumerate_lattices(n):
+            identity = tuple(range(n))
+            assert canonical_relabeling(L.poset) == identity
+            assert canonical_relabeling(fresh(L.poset)) == identity
+
+
+def test_seeded_memo_equals_a_fresh_search():
+    rng = random.Random(7)
+    for L in enumerate_lattices(7):
+        M = L.relabel(random_perm(L.n, rng))
+        for q in (canonicalize(M.poset), M.canonicalize().poset):
+            assert canonical_relabeling(q) == canonical_relabeling(fresh(q))
+            assert canonical_form(q) == canonical_form(fresh(q))
+            assert canonical_form(q) == canonical_form(L.poset)
+
+
+def test_search_runs_once_per_poset(monkeypatch):
+    import latticelab.poset as poset_module
+
+    calls = []
+    search = poset_module._canonical_search
+    monkeypatch.setattr(
+        poset_module, "_canonical_search", lambda p: calls.append(p) or search(p)
+    )
+    p = fresh(zoo.hexagon().poset.relabel([5, 3, 1, 0, 2, 4]))
+    q = canonicalize(p)
+    canonical_relabeling(p), canonical_form(p), canonical_form(q)
+    canonical_relabeling(q), is_isomorphic(p, q)
+    assert calls == [p]
+
+
+def test_long_chain_without_recursion():
+    n = 1500
+    leq = np.triu(np.ones((n, n), dtype=bool))
+    chain = FinitePoset(n, [(i, i + 1) for i in range(n - 1)], leq)
+    perm = random_perm(n, random.Random(1))
+    shuffled_chain = chain.relabel(perm)
+    # Element i of the chain is element perm[i] of the shuffled one.
+    slots = canonical_relabeling(chain)
+    shuffled_slots = canonical_relabeling(shuffled_chain)
+    assert [shuffled_slots[perm[i]] for i in range(n)] == list(slots)
+    assert is_isomorphic(chain, shuffled_chain)
+
+
+def test_down_set_extensions_match_the_reference():
+    for k in range(1, 8):
+        for p in _meet_closed_posets(k):
+            assert _down_set_extensions(p) == reference_down_set_extensions(p)

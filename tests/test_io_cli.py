@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -212,6 +213,16 @@ def test_cli_negative_count_is_a_usage_error(tmp_path, capsys):
         assert main(["check", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "negative element count" in err
+
+
+def test_cli_huge_count_is_rejected_before_allocating(tmp_path, capsys):
+    path = tmp_path / "huge.lat"
+    path.write_text("1000000000\n0 1\n")
+    start = time.perf_counter()
+    assert main(["check", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "element count 1000000000" in err
 
 
 def test_cli_usage_error_exit_code():

@@ -5,12 +5,15 @@ import pytest
 
 from latticelab import zoo
 from latticelab.errors import (
+    BoundExceededError,
     CycleError,
     DuplicatePairError,
     InvalidCoverError,
     NotReducedError,
 )
+from latticelab.lattice import DEFAULT_IDEAL_CAP
 from latticelab.poset import (
+    MAX_ELEMENTS,
     _find_cycle,
     canonical_form,
     canonical_relabeling,
@@ -168,3 +171,13 @@ def test_relabel_identity_and_validation():
     assert p.relabel([0, 1, 2]) == p
     with pytest.raises(ValueError):
         p.relabel([0, 0, 1])
+
+
+def test_element_count_is_bounded_before_allocation():
+    assert MAX_ELEMENTS == DEFAULT_IDEAL_CAP == 4096
+    for n in (MAX_ELEMENTS + 1, 10**9, -3):
+        with pytest.raises(BoundExceededError, match=f"element count {n}"):
+            poset_from_covers(n, [(0, 1)])
+        with pytest.raises(BoundExceededError, match=f"element count {n}"):
+            transitive_reduce(n, [(0, 1)])
+    assert poset_from_covers(0, []).n == 0

@@ -12,6 +12,23 @@ from latticelab.properties import (
 )
 
 
+def test_classify_tests_each_element_for_left_modularity_once(monkeypatch):
+    import latticelab.properties as properties
+
+    calls = []
+    check = properties.left_modular_element_violation
+    monkeypatch.setattr(
+        properties,
+        "left_modular_element_violation",
+        lambda L, a: calls.append(a) or check(L, a),
+    )
+    for L in (zoo.chain(30), zoo.boolean(3), zoo.m3()):
+        calls.clear()
+        record = classify(L)
+        assert record.left_modular and record.el_shellable == "yes"
+        assert sorted(calls) == list(range(L.n))
+
+
 def test_ideal_lattice_is_distributive():
     L, _ = ideal_lattice(zoo.vee_plus_isolated())
     ok, violation = is_distributive(L)

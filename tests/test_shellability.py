@@ -322,3 +322,22 @@ def test_verifier_is_polynomial_on_a_long_chain():
     verdict = is_el_labeling(L, labels)
     assert verdict.interval == (149, 151)
     assert verdict.reason == "no_increasing_chain"
+
+
+def test_verifier_matches_oracle_at_eight_elements():
+    "All 222 lattices with 8 elements, without el_search on the slow ones."
+    rng = random.Random(8)
+    lattices = enumerate_lattices(8)
+    assert len(lattices) == 222
+    certified = 0
+    reasons = set()
+    for L in lattices:
+        chain = left_modular_chain(L)
+        if chain is not None:
+            assert assert_matches_oracle(L, lm_labeling(L, chain))
+            certified += 1
+        for top in (1, 2, 3, 4):
+            labels = {e: rng.randint(1, top) for e in L.covers}
+            reasons.add(assert_matches_oracle(L, labels).reason)
+    assert certified == 182
+    assert reasons >= REASONS
