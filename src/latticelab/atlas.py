@@ -93,13 +93,7 @@ def enumerate_lattices(n):
         return [try_lattice(poset_from_covers(1, []))]
     out = []
     for p in _meet_closed_posets(n - 1):
-        maximal = [
-            x
-            for x in range(p.n)
-            if not any(p.leq[x, y] and x != y for y in range(p.n))
-        ]
-        covers = list(p.covers) + [(x, p.n) for x in sorted(maximal)]
-        poset = canonicalize(poset_from_covers(n, covers))
+        poset = canonicalize(_extend_with_maximal(p, range(p.n)))
         out.append((canonical_form(poset), poset))
     out.sort(key=lambda item: item[0])
     forms = [f for f, _ in out]
@@ -171,29 +165,23 @@ def build_atlas(max_n, el_budget=DEFAULT_EL_BUDGET, out_path=None, progress=None
     """Classify every lattice with up to max_n elements.
 
     Entries come out sorted by (n, canonical form), so runs with equal
-    parameters produce identical files.  With out_path the entries stream
-    to disk as they are produced.
+    parameters produce identical files.  With out_path they are also
+    written there by write_atlas.
     """
     entries = []
-    sink = open(out_path, "w", encoding="utf-8") if out_path else None
-    try:
-        if sink:
-            sink.write(_header_line(max_n, el_budget) + "\n")
-        for n in range(1, max_n + 1):
-            for L in enumerate_lattices(n):
-                entry = AtlasEntry(
+    for n in range(1, max_n + 1):
+        for L in enumerate_lattices(n):
+            entries.append(
+                AtlasEntry(
                     n=n,
                     canonical=canonical_form(L.poset),
                     record=classify(L, el_budget=el_budget),
                 )
-                entries.append(entry)
-                if sink:
-                    sink.write(entry.as_json_line() + "\n")
-            if progress:
-                progress(n, len(entries))
-    finally:
-        if sink:
-            sink.close()
+            )
+        if progress:
+            progress(n, len(entries))
+    if out_path:
+        write_atlas(out_path, entries, max_n=max_n, el_budget=el_budget)
     return entries
 
 

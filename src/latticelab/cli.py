@@ -7,7 +7,6 @@ errors.  '-' reads stdin wherever a file is expected.
 
 import argparse
 import json
-import os
 import sys
 
 from .atlas import (
@@ -55,20 +54,8 @@ def _load_lattice(path):
     return try_lattice(_load_poset(path))
 
 
-def _default_budget():
-    raw = os.environ.get("LATTICELAB_EL_BUDGET")
-    if raw is None:
-        return DEFAULT_EL_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise LatticeError(
-            f"LATTICELAB_EL_BUDGET must be an integer, got {raw!r}"
-        )
-
-
 def _emit_dot(args, poset, labeling=None):
-    if getattr(args, "dot", None):
+    if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(to_dot(poset, labeling=labeling))
 
@@ -130,7 +117,7 @@ def cmd_label(args):
 
 def cmd_el(args):
     L = _load_lattice(args.file)
-    result = el_search(L, budget=args.budget, strict_lex=args.strict_lex)
+    result = el_search(L, budget=args.el_budget)
     print(f"status: {result.status}")
     print(f"nodes: {result.nodes}")
     if result.labeling is not None:
@@ -206,7 +193,7 @@ def build_parser():
     p = add("check", cmd_check, "classify a lattice file")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--el-budget", type=int, default=None)
+    p.add_argument("--el-budget", type=int, default=DEFAULT_EL_BUDGET)
     p.add_argument("--dot", metavar="PATH")
 
     p = add("witness", cmd_witness, "perspectivity witness for a cover, both ways")
@@ -220,8 +207,7 @@ def build_parser():
 
     p = add("el", cmd_el, "exact EL-shellability search")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--strict-lex", action="store_true")
+    p.add_argument("--el-budget", type=int, default=DEFAULT_EL_BUDGET)
     p.add_argument("--dot", metavar="PATH")
 
     p = add("ideals", cmd_ideals, "write the lattice of down-sets of a poset")
@@ -237,7 +223,7 @@ def build_parser():
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--csv", metavar="PATH")
-    p.add_argument("--el-budget", type=int, default=None)
+    p.add_argument("--el-budget", type=int, default=DEFAULT_EL_BUDGET)
 
     p = add("implications", cmd_implications, "scan the implication grid over an atlas")
     p.add_argument("atlas")
@@ -252,10 +238,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "el_budget", 0) is None:
-            args.el_budget = _default_budget()
-        if getattr(args, "budget", 0) is None:
-            args.budget = _default_budget()
         return args.func(args)
     except InvariantViolation as exc:
         print(f"INVARIANT VIOLATION (library bug): {exc}", file=sys.stderr)

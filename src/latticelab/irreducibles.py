@@ -46,11 +46,7 @@ def meet_irreducibles(L):
 
 def length(L):
     "Maximum length of a maximal chain (cover steps from bottom to top)."
-    best = [0] * L.n
-    for v in L.poset.topological_order:
-        for w in L.upper_covers[v]:
-            best[w] = max(best[w], best[v] + 1)
-    return best[L.top]
+    return L.levels[L.top]
 
 
 def maximal_chains(L):

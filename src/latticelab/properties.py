@@ -112,9 +112,10 @@ def left_modular_chain(L):
     """Lexicographically least maximum-length maximal chain of left-modular elements.
 
     Returns the chain as a tuple, or None when no maximal chain of length
-    len(L) stays inside the left-modular elements.  Depth-first walk over
-    cover edges restricted to left-modular elements, pruned by the longest
-    remaining path.
+    len(L) stays inside the left-modular elements.  Walks up the covers,
+    taking at each step the first cover that still has a long enough
+    left-modular path to the top; every such cover leads to a chain of
+    length len(L), so the walk never backtracks.
     """
     lm = _left_modular_set(L)
     if L.bot not in lm or L.top not in lm:
@@ -135,19 +136,9 @@ def left_modular_chain(L):
         return None
 
     path = [L.bot]
-
-    def walk(v, depth):
-        if v == L.top:
-            return depth == k
-        for w in L.upper_covers[v]:
-            if reach.get(w, -1) < k - depth - 1:
-                continue
-            path.append(w)
-            if walk(w, depth + 1):
-                return True
-            path.pop()
-        return False
-
-    if walk(L.bot, 0):
-        return tuple(path)
-    return None
+    while path[-1] != L.top:
+        need = k - len(path)
+        path.append(
+            next(w for w in L.upper_covers[path[-1]] if reach.get(w, -1) >= need)
+        )
+    return tuple(path)

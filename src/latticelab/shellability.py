@@ -121,7 +121,7 @@ def _intervals_by_size(L):
     return [(a, b) for _, a, b in sorted(pairs)]
 
 
-def _interval_failure(L, labeling, a, b, strict_lex):
+def _interval_failure(L, labeling, a, b):
     "ELVerdict for [a, b] from a list of its chains, or None if it passes."
     chains = _interval_chains(L, a, b)
     vectors = [label_vector(labeling, ch) for ch in chains]
@@ -139,9 +139,7 @@ def _interval_failure(L, labeling, a, b, strict_lex):
         )
     best = vectors[rising[0]]
     for i, v in enumerate(vectors):
-        if i == rising[0]:
-            continue
-        if v < best or (strict_lex and v == best):
+        if v < best:
             return ELVerdict(
                 "not_el",
                 (a, b),
@@ -157,18 +155,15 @@ def _check_complete(L, labeling):
         raise PartialLabelingError(missing)
 
 
-def is_el_labeling_naive(L, labeling, strict_lex=False):
+def is_el_labeling_naive(L, labeling):
     """Verify the EL condition by listing every maximal chain of every interval.
 
     The brute-force reference for is_el_labeling, kept as the oracle the
     tests compare it against; its cost grows with the number of chains.
-    Weak reading by default: the unique increasing chain's vector must be
-    <= every other chain's vector.  strict_lex additionally forbids any
-    other chain from tying it.
     """
     _check_complete(L, labeling)
     for a, b in _intervals_by_size(L):
-        verdict = _interval_failure(L, labeling, a, b, strict_lex)
+        verdict = _interval_failure(L, labeling, a, b)
         if verdict is not None:
             return verdict
     return ELVerdict("is_el")
@@ -246,14 +241,11 @@ def _failing_intervals(L, labeling):
     return failing
 
 
-def is_el_labeling(L, labeling, strict_lex=False):
+def is_el_labeling(L, labeling):
     """Verify the EL condition on every interval in polynomial time.
 
-    Weak reading by default: the unique increasing chain's vector must be
-    <= every other chain's vector.  strict_lex additionally forbids any
-    other chain from tying it; such a chain is increasing too, so the tie
-    already fails as "multiple_increasing_chains" and the flag never
-    changes a verdict.
+    A chain whose label vector ties the increasing chain's is increasing
+    too, so a tie fails as "multiple_increasing_chains".
 
     Two dynamic programs over the cover graph decide every interval (see
     _increasing_chain_counts and _failing_intervals) in O(n * m * (d + k))
@@ -269,7 +261,7 @@ def is_el_labeling(L, labeling, strict_lex=False):
     leq = L.leq.astype(np.int32)
     sizes = leq @ leq  # sizes[a, b] = |[a, b]|
     _, a, b = min((int(sizes[a, b]), a, b) for a, b in failing)
-    verdict = _interval_failure(L, labeling, a, b, strict_lex)
+    verdict = _interval_failure(L, labeling, a, b)
     if verdict is None:
         raise InvariantViolation(
             f"interval {(a, b)} failed the chain count but not its chain list"
@@ -292,15 +284,16 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _search_plan(L, direction):
-    """Edge order plus the interval constraints hooked onto each edge.
+def _search_plans(L):
+    """Two edge orders, each with the interval constraints hooked onto its edges.
 
-    direction "up" labels covers from the bottom of the lattice upward,
-    "down" from the top downward; neither dominates, so the search runs
-    both.  Every interval is fully re-verified the moment its last edge
-    receives a label (completes[t]); it is also partially checked whenever
-    any of its edges does (touches[t]), which catches interval failures
-    that are already unavoidable.
+    The "down" plan labels covers from the top of the lattice downward,
+    the "up" plan from the bottom upward; neither dominates, so the search
+    runs both.  The intervals and their chains are listed once for both.
+    Every interval is fully re-verified the moment its last edge receives
+    a label (completes[t]); it is also partially checked whenever any of
+    its edges does (touches[t]), which catches interval failures that are
+    already unavoidable.
     """
     interval_edges = []
     for a, b in _intervals_by_size(L):
@@ -309,38 +302,33 @@ def _search_plan(L, direction):
             continue  # single cover: nothing to constrain
         interval_edges.append(chains)
     levels = L.levels
-    if direction == "up":
-        key = lambda e: (levels[e[1]], levels[e[0]], e)
-    else:
-        key = lambda e: (-levels[e[1]], -levels[e[0]], e)
-    edge_order = sorted(L.covers, key=key)
-    index = {e: i for i, e in enumerate(edge_order)}
-    touches = [[] for _ in edge_order]
-    completes = [[] for _ in edge_order]
-    for chains in interval_edges:
-        chain_ix = [
-            tuple(index[(u, v)] for u, v in zip(ch, ch[1:])) for ch in chains
-        ]
-        members = sorted({e for ch in chain_ix for e in ch})
-        for e in members[:-1]:
-            touches[e].append(chain_ix)
-        completes[members[-1]].append(chain_ix)
-    return edge_order, touches, completes
+    plans = []
+    for sign in (-1, 1):  # down, then up
+        edge_order = sorted(
+            L.covers, key=lambda e: (sign * levels[e[1]], sign * levels[e[0]], e)
+        )
+        index = {e: i for i, e in enumerate(edge_order)}
+        touches = [[] for _ in edge_order]
+        completes = [[] for _ in edge_order]
+        for chains in interval_edges:
+            chain_ix = [
+                tuple(index[(u, v)] for u, v in zip(ch, ch[1:])) for ch in chains
+            ]
+            members = sorted({e for ch in chain_ix for e in ch})
+            for e in members[:-1]:
+                touches[e].append(chain_ix)
+            completes[members[-1]].append(chain_ix)
+        plans.append((edge_order, touches, completes))
+    return plans
 
 
-def _check_chain_set(values, chain_ix, strict_lex):
+def _check_chain_set(values, chain_ix):
     "Exact interval verdict once all of its edges carry labels."
     vectors = [tuple(values[e] for e in ch) for ch in chain_ix]
     rising = [i for i, v in enumerate(vectors) if is_increasing(v)]
     if len(rising) != 1:
         return False
-    best = vectors[rising[0]]
-    for i, v in enumerate(vectors):
-        if i == rising[0]:
-            continue
-        if v < best or (strict_lex and v == best):
-            return False
-    return True
+    return min(vectors) == vectors[rising[0]]
 
 
 def _partial_chain_set_ok(values, chain_ix):
@@ -372,7 +360,7 @@ def _partial_chain_set_ok(values, chain_ix):
     return any_alive
 
 
-def _run_plan(plan, budget, strict_lex):
+def _run_plan(plan, budget):
     "One complete backtracking pass; returns (status, nodes_used, labeling)."
     edges, touches, completes = plan
     m = len(edges)
@@ -398,10 +386,7 @@ def _run_plan(plan, budget, strict_lex):
                 bumped = ()
                 values[t] = (choice + 1) // 2
                 next_v = v
-            if all(
-                _check_chain_set(values, cs, strict_lex)
-                for cs in completes[t]
-            ) and all(
+            if all(_check_chain_set(values, cs) for cs in completes[t]) and all(
                 _partial_chain_set_ok(values, cs) for cs in touches[t]
             ):
                 found = assign(t + 1, next_v)
@@ -428,7 +413,7 @@ _INITIAL_SLICE = 4096
 _SLICE_GROWTH = 16
 
 
-def el_search(L, budget=DEFAULT_EL_BUDGET, strict_lex=False):
+def el_search(L, budget=DEFAULT_EL_BUDGET):
     """Exact EL-shellability decision with a node budget.
 
     Backtracks over the weak orders on the cover set: each new edge either
@@ -447,7 +432,7 @@ def el_search(L, budget=DEFAULT_EL_BUDGET, strict_lex=False):
 
     perm = canonical_relabeling(L.poset)
     if any(perm[i] != i for i in range(L.n)):
-        result = el_search(L.canonicalize(), budget, strict_lex)
+        result = el_search(L.canonicalize(), budget)
         if result.labeling is None:
             return result
         labeling = {
@@ -457,7 +442,7 @@ def el_search(L, budget=DEFAULT_EL_BUDGET, strict_lex=False):
 
     if not L.covers:
         return ELSearchResult("shellable", {}, 0, budget)
-    plans = [_search_plan(L, "down"), _search_plan(L, "up")]
+    plans = _search_plans(L)
     spent = 0
     slice_budget = _INITIAL_SLICE
     while spent < budget:
@@ -465,13 +450,13 @@ def el_search(L, budget=DEFAULT_EL_BUDGET, strict_lex=False):
             if spent >= budget:
                 break
             status, used, labeling = _run_plan(
-                plan, min(slice_budget, budget - spent), strict_lex
+                plan, min(slice_budget, budget - spent)
             )
             spent += used
             if status == "unknown":
                 continue
             if status == "shellable":
-                verdict = is_el_labeling(L, labeling, strict_lex)
+                verdict = is_el_labeling(L, labeling)
                 if not verdict:
                     raise InvariantViolation(
                         "search produced a labeling rejected by the "

@@ -139,15 +139,18 @@ def test_cli_el(tmp_path, capsys):
     assert "status: shellable" in out
 
 
-def test_cli_el_budget_flag_and_env(tmp_path, capsys, monkeypatch):
+def test_cli_el_budget_is_one_flag(tmp_path, capsys):
     path = lat_file(tmp_path, zoo.hexagon())
-    assert main(["el", path, "--budget", "5"]) == 0
+    assert main(["el", path, "--el-budget", "5"]) == 0
     assert "status: unknown" in capsys.readouterr().out
-    monkeypatch.setenv("LATTICELAB_EL_BUDGET", "5")
-    assert main(["el", path]) == 0
-    assert "status: unknown" in capsys.readouterr().out
-    monkeypatch.setenv("LATTICELAB_EL_BUDGET", "nonsense")
-    assert main(["el", path]) == 2
+    assert main(["check", path, "--json", "--el-budget", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["el_shellable"] == "unknown"
+    out = tmp_path / "atlas.jsonl"
+    assert main(["atlas", "--max-n", "3", "--out", str(out), "--el-budget", "5"]) == 0
+    assert json.loads(out.read_text().splitlines()[0])["el_budget"] == 5
+    with pytest.raises(SystemExit) as exc:
+        main(["el", path, "--budget", "5"])
+    assert exc.value.code == 2
 
 
 def test_cli_ideals_pipes_into_check(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 from latticelab import zoo
 from latticelab.classify import classify
 from latticelab.irreducibles import length, maximal_chains
@@ -87,6 +90,19 @@ def test_left_modular_chain_is_lexicographically_least():
         ]
         expected = min(qualifying) if qualifying else None
         assert left_modular_chain(L) == expected, name
+
+
+def test_left_modular_chain_walks_long_chains_without_recursion():
+    L = zoo.chain(299)
+    limit = sys.getrecursionlimit()
+    # 100 frames above the caller's depth: far too few for a recursive
+    # walk up 300 covers.
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        chain = left_modular_chain(L)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert chain == tuple(range(300))
 
 
 def test_hexagon_is_join_semidistributive():

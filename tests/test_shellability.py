@@ -110,32 +110,16 @@ def test_partial_labeling_is_rejected():
 def test_strict_mode_accepts_when_no_ties():
     L = zoo.m3()
     labels = lm_labeling(L, (0, 1, 4))
-    assert is_el_labeling(L, labels, strict_lex=True)
+    assert is_el_labeling(L, labels)
 
 
 def test_tie_with_the_increasing_chain_is_a_multiplicity_failure():
     # A chain tying the increasing chain's vector is itself increasing, so
-    # the strict and weak lex readings can never disagree; the tie shows
-    # up as a multiplicity failure under both.
+    # the tie shows up as a multiplicity failure.
     L = zoo.m3()
     labels = {(0, 1): 1, (1, 4): 2, (0, 2): 1, (2, 4): 2, (0, 3): 3, (3, 4): 1}
-    for strict in (False, True):
-        verdict = is_el_labeling(L, labels, strict_lex=strict)
-        assert verdict.reason == "multiple_increasing_chains"
-
-
-def test_strict_and_weak_verdicts_agree_on_small_lattices():
-    from latticelab.atlas import enumerate_lattices
-
-    for n in range(1, 7):
-        for L in enumerate_lattices(n):
-            chain = left_modular_chain(L)
-            if chain is None:
-                continue
-            labels = lm_labeling(L, chain)
-            weak = is_el_labeling(L, labels)
-            strict = is_el_labeling(L, labels, strict_lex=True)
-            assert weak.status == strict.status
+    verdict = is_el_labeling(L, labels)
+    assert verdict.reason == "multiple_increasing_chains"
 
 
 def test_el_search_finds_certificates_for_figure_lattices():
@@ -215,13 +199,9 @@ REASONS = {
 
 
 def assert_matches_oracle(L, labeling):
-    "Both readings give the oracle's verdict, diagnostics included."
-    for strict in (False, True):
-        verdict = is_el_labeling(L, labeling, strict_lex=strict)
-        assert verdict == is_el_labeling_naive(L, labeling, strict_lex=strict), (
-            L,
-            labeling,
-        )
+    "The verifier gives the oracle's verdict, diagnostics included."
+    verdict = is_el_labeling(L, labeling)
+    assert verdict == is_el_labeling_naive(L, labeling), (L, labeling)
     return verdict
 
 
