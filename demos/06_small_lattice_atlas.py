@@ -8,6 +8,7 @@ candidates to the open questions.
 """
 
 import collections
+import os
 import tempfile
 
 from latticelab import (
@@ -45,8 +46,8 @@ print("\nopen-question hunt:")
 for line in hunt_questions(entries).summary_lines():
     print(" ", line)
 
-with tempfile.NamedTemporaryFile(suffix=".jsonl", delete=False) as fh:
-    path = fh.name
-build_atlas(5, out_path=path)
-header, back = read_atlas(path)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "atlas.jsonl")
+    build_atlas(5, out_path=path)
+    header, back = read_atlas(path)
 print(f"\npersisted and re-read {len(back)} entries (schema {header['schema']})")

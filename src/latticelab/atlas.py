@@ -9,7 +9,7 @@ the generator at small sizes.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from .classify import ClassificationRecord, classify
@@ -149,11 +149,17 @@ class AtlasEntry:
 
     @classmethod
     def from_json_obj(cls, obj):
-        return cls(
+        "The entry an atlas line holds; TypeError for a field of the wrong type."
+        entry = cls(
             n=obj["n"],
             canonical=bytes.fromhex(obj["canonical"]),
             record=ClassificationRecord.from_json(obj["record"]),
         )
+        for item in (entry, entry.record):
+            for f in fields(item):
+                if not isinstance(getattr(item, f.name), f.type):
+                    raise TypeError(f"{f.name} is not {f.type.__name__}")
+        return entry
 
 
 def entry_lattice(entry):
@@ -220,18 +226,27 @@ def write_atlas(path, entries, max_n=None, el_budget=DEFAULT_EL_BUDGET, append=F
 
 
 def read_atlas(path):
-    "Parse an atlas file; returns (header, entries)."
+    """Parse an atlas file; returns (header, entries).
+
+    Raises AtlasParseError, naming the line, for text that is not UTF-8,
+    a line that is not a JSON object, and an entry field of the wrong type.
+    """
     header = None
     entries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise AtlasParseError(lineno, f"not UTF-8: {exc}") from exc
             if not line:
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise AtlasParseError(lineno, f"bad JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise AtlasParseError(lineno, "not a JSON object")
             if lineno == 1:
                 if obj.get("schema") != SCHEMA_VERSION:
                     raise AtlasParseError(
@@ -241,7 +256,7 @@ def read_atlas(path):
                 continue
             try:
                 entries.append(AtlasEntry.from_json_obj(obj))
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise AtlasParseError(lineno, f"bad entry: {exc!r}") from exc
     if header is None:
         raise AtlasParseError(1, "missing schema header")

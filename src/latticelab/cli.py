@@ -17,7 +17,7 @@ from .atlas import (
     write_csv,
 )
 from .classify import classify
-from .errors import InvariantViolation, LatticeError
+from .errors import FormatError, InvariantViolation, LatticeError
 from .io import format_covers, parse_covers, to_dot
 from .irreducibles import (
     perspectivity_witness_recursive,
@@ -39,10 +39,13 @@ EXIT_USAGE = 2
 
 
 def _read_text(path):
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _load_poset(path):
@@ -143,6 +146,9 @@ def cmd_dual(args):
 
 
 def cmd_atlas(args):
+    for path in (args.out, args.csv):
+        if path:  # a bad path fails now, not after the whole run
+            open(path, "w", encoding="utf-8").close()
     entries = build_atlas(
         args.max_n,
         el_budget=args.el_budget,

@@ -14,7 +14,6 @@ from .errors import (
     NotAMaximalChainError,
     NotJoinIrreducibleError,
 )
-from .lattice import interval
 
 
 @dataclass(frozen=True)
@@ -49,20 +48,32 @@ def length(L):
     return L.levels[L.top]
 
 
+def _cover_paths(L, a, b):
+    """Cover paths from a up to b as tuples, in lexicographic order.
+
+    Walks on an explicit stack of upper-cover iterators, so the length of
+    a path is not bounded by the recursion limit.
+    """
+    if a == b:
+        yield (a,)
+        return
+    path = [a]
+    stack = [iter(L.upper_covers[a])]
+    while stack:
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            path.pop()
+        elif w == b:
+            yield (*path, b)
+        elif L.leq[w, b]:
+            path.append(w)
+            stack.append(iter(L.upper_covers[w]))
+
+
 def maximal_chains(L):
     "All maximal chains, in lexicographic order of their element sequences."
-    path = [L.bot]
-
-    def walk(v):
-        if v == L.top:
-            yield tuple(path)
-            return
-        for w in L.upper_covers[v]:
-            path.append(w)
-            yield from walk(w)
-            path.pop()
-
-    yield from walk(L.bot)
+    return _cover_paths(L, L.bot, L.top)
 
 
 def check_maximal_chain(L, chain):
@@ -124,38 +135,30 @@ def perspectivity_witness_scan(L, pair):
 def perspectivity_witness_recursive(L, pair):
     """Witness via structural descent instead of scanning.
 
-    If b is not the top, recurse into [bot, b].  At the top: either the top
-    itself is irreducible, or pick the smallest coatom c != a, let
-    z = a ^ c, descend into [bot, d] for the smallest cover d of z with
-    d <= c and d not below a.  Choices are smallest-id for reproducibility.
+    Walks down from the cover (a, b) in a loop, in the ids of L: while b
+    has another lower cover, take the smallest one c != a, let z = a ^ c,
+    and continue from the cover (z, d) for the smallest upper cover d of
+    z with d <= c and d not below a.  The b where this stops has a as its
+    only lower cover and is the witness.  This is the descent into the
+    interval [bot, b] at every step, without building the interval.
     """
-    a, b = _require_cover(L, pair)
-    j = _descend(L, a, b)
-    ji = JoinIrreducible(j, L.lower_covers[j][0])
-    if not is_perspective(L, (a, b), (ji.j_star, ji.j)):
+    cover = _require_cover(L, pair)
+    a, b = cover
+    while len(L.lower_covers[b]) > 1:
+        c = next(x for x in L.lower_covers[b] if x != a)
+        z = int(L.meet[a, c])
+        b = next(
+            x
+            for x in L.upper_covers[z]
+            if L.leq[x, c] and not L.leq[x, a]
+        )
+        a = z
+    ji = JoinIrreducible(int(b), int(a))
+    if not is_perspective(L, cover, (ji.j_star, ji.j)):
         raise InvariantViolation(
-            f"descent produced {ji} which is not perspective to {(a, b)}"
+            f"descent produced {ji} which is not perspective to {cover}"
         )
     return ji
-
-
-def _descend(L, a, b):
-    if b != L.top:
-        sub = interval(L, L.bot, b)
-        j_local = _descend(sub.lattice, sub.local_of[a], sub.local_of[b])
-        return sub.back_map[j_local]
-    if len(L.lower_covers[L.top]) == 1:
-        return L.top
-    c = next(x for x in L.coatoms if x != a)
-    z = int(L.meet[a, c])
-    d = next(
-        x
-        for x in L.upper_covers[z]
-        if L.leq[x, c] and not L.leq[x, a]
-    )
-    sub = interval(L, L.bot, d)
-    j_local = _descend(sub.lattice, sub.local_of[z], sub.local_of[d])
-    return sub.back_map[j_local]
 
 
 @dataclass(frozen=True)

@@ -191,14 +191,13 @@ class Interval:
     sub-cover relation is exactly the ambient one restricted.
     """
 
-    __slots__ = ("lo", "hi", "lattice", "back_map", "local_of")
+    __slots__ = ("lo", "hi", "lattice", "back_map")
 
     def __init__(self, lo, hi, lattice, back_map):
         self.lo = lo
         self.hi = hi
         self.lattice = lattice
         self.back_map = back_map
-        self.local_of = {amb: loc for loc, amb in enumerate(back_map)}
 
 
 def interval(L, a, b):

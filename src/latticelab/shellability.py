@@ -29,6 +29,7 @@ from .errors import (
     PartialLabelingError,
 )
 from .irreducibles import (
+    _cover_paths,
     check_maximal_chain,
     gamma,
     join_irreducibles,
@@ -92,24 +93,6 @@ class ELVerdict:
         return self.status == "is_el"
 
 
-def _interval_chains(L, a, b):
-    out = []
-    path = [a]
-
-    def walk(v):
-        if v == b:
-            out.append(tuple(path))
-            return
-        for w in L.upper_covers[v]:
-            if L.leq[w, b]:
-                path.append(w)
-                walk(w)
-                path.pop()
-
-    walk(a)
-    return out
-
-
 def _intervals_by_size(L):
     "(a, b) pairs with a < b, smallest intervals first."
     pairs = []
@@ -123,7 +106,7 @@ def _intervals_by_size(L):
 
 def _interval_failure(L, labeling, a, b):
     "ELVerdict for [a, b] from a list of its chains, or None if it passes."
-    chains = _interval_chains(L, a, b)
+    chains = list(_cover_paths(L, a, b))
     vectors = [label_vector(labeling, ch) for ch in chains]
     rising = [i for i, v in enumerate(vectors) if is_increasing(v)]
     if not rising:
@@ -280,24 +263,20 @@ class ELSearchResult:
         return self.status == "shellable"
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def _search_plans(L):
-    """Two edge orders, each with the interval constraints hooked onto its edges.
+    """Two edge orders, each with the interval checks hooked onto its edges.
 
     The "down" plan labels covers from the top of the lattice downward,
     the "up" plan from the bottom upward; neither dominates, so the search
     runs both.  The intervals and their chains are listed once for both.
-    Every interval is fully re-verified the moment its last edge receives
-    a label (completes[t]); it is also partially checked whenever any of
-    its edges does (touches[t]), which catches interval failures that are
-    already unavoidable.
+    hooks[t] holds (complete, chain_ix) for every interval with edge t:
+    each is checked whenever edge t receives a label, which catches
+    interval failures that are already unavoidable, and complete is true
+    when t is the interval's last edge, so the check is exact.
     """
     interval_edges = []
     for a, b in _intervals_by_size(L):
-        chains = _interval_chains(L, a, b)
+        chains = list(_cover_paths(L, a, b))
         if len(chains) == 1 and len(chains[0]) == 2:
             continue  # single cover: nothing to constrain
         interval_edges.append(chains)
@@ -308,105 +287,95 @@ def _search_plans(L):
             L.covers, key=lambda e: (sign * levels[e[1]], sign * levels[e[0]], e)
         )
         index = {e: i for i, e in enumerate(edge_order)}
-        touches = [[] for _ in edge_order]
-        completes = [[] for _ in edge_order]
+        hooks = [[] for _ in edge_order]
         for chains in interval_edges:
             chain_ix = [
                 tuple(index[(u, v)] for u, v in zip(ch, ch[1:])) for ch in chains
             ]
             members = sorted({e for ch in chain_ix for e in ch})
             for e in members[:-1]:
-                touches[e].append(chain_ix)
-            completes[members[-1]].append(chain_ix)
-        plans.append((edge_order, touches, completes))
+                hooks[e].append((False, chain_ix))
+            hooks[members[-1]].append((True, chain_ix))
+        plans.append((edge_order, hooks))
     return plans
 
 
-def _check_chain_set(values, chain_ix):
-    "Exact interval verdict once all of its edges carry labels."
-    vectors = [tuple(values[e] for e in ch) for ch in chain_ix]
-    rising = [i for i, v in enumerate(vectors) if is_increasing(v)]
-    if len(rising) != 1:
-        return False
-    return min(vectors) == vectors[rising[0]]
+def _interval_ok(values, chain_ix, complete):
+    """Can this interval still get one increasing, lexicographically least chain?
 
-
-def _partial_chain_set_ok(values, chain_ix):
-    """Can this interval still obtain its unique increasing chain?
-
-    A chain with two adjacent labeled edges not ascending is dead for
-    good: later assignments never reorder existing labels.  All chains
-    dead, or two fully-labeled increasing chains, doom every completion.
+    A chain is dead once two adjacent labeled edges do not ascend: later
+    assignments never reorder existing labels.  All chains dead, or two
+    fully labeled chains alive, doom every completion.  Once the interval
+    is complete (every edge labeled), a live chain is an increasing chain,
+    so the one live chain must also be lexicographically least.
     """
-    complete_rising = 0
-    any_alive = False
+    live = None
+    seen_full = False
     for ch in chain_ix:
-        dead = False
-        complete = True
-        for k in range(len(ch)):
-            if values[ch[k]] == 0:
-                complete = False
-            if k and values[ch[k - 1]] and values[ch[k]]:
-                if values[ch[k - 1]] >= values[ch[k]]:
-                    dead = True
-                    break
-        if dead:
-            continue
-        any_alive = True
-        if complete:
-            complete_rising += 1
-            if complete_rising > 1:
-                return False
-    return any_alive
+        prev = 0
+        full = True
+        for e in ch:
+            x = values[e]
+            if not x:
+                full = False
+            elif prev >= x:
+                break
+            prev = x
+        else:
+            if full:
+                if seen_full:
+                    return False
+                seen_full = True
+            live = ch
+    if live is None:
+        return False
+    if not complete:
+        return True
+    first = [values[e] for e in live]
+    return all([values[e] for e in ch] >= first for ch in chain_ix)
 
 
 def _run_plan(plan, budget):
-    "One complete backtracking pass; returns (status, nodes_used, labeling)."
-    edges, touches, completes = plan
+    """One complete backtracking pass; returns (status, nodes_used, labeling).
+
+    frames[t] is (choice, classes, bumped) for edge t: the choice last
+    tried there, the number of label classes before it, and the edges it
+    moved up by one.  Choice 2g opens a new class in gap g, choice 2k - 1
+    joins class k.  The node that exceeds the budget is counted.
+    """
+    edges, hooks = plan
     m = len(edges)
     values = [0] * m
     nodes = 0
-
-    def assign(t, v):
-        nonlocal nodes
-        if t == m:
-            return {edges[i]: values[i] for i in range(m)}
-        for choice in range(2 * v + 1):
-            nodes += 1
-            if nodes > budget:
-                raise _BudgetExhausted
-            if choice % 2 == 0:
-                gap = choice // 2
-                bumped = [i for i in range(t) if values[i] > gap]
-                for i in bumped:
-                    values[i] += 1
-                values[t] = gap + 1
-                next_v = v + 1
-            else:
-                bumped = ()
-                values[t] = (choice + 1) // 2
-                next_v = v
-            if all(_check_chain_set(values, cs) for cs in completes[t]) and all(
-                _partial_chain_set_ok(values, cs) for cs in touches[t]
-            ):
-                found = assign(t + 1, next_v)
-                if found is not None:
-                    for i in bumped:
-                        values[i] -= 1
-                    values[t] = 0
-                    return found
+    frames = [(-1, 0, ())]
+    while frames:
+        t = len(frames) - 1
+        choice, classes, bumped = frames[t]
+        for i in bumped:
+            values[i] -= 1
+        values[t] = 0
+        choice += 1
+        if choice > 2 * classes:
+            frames.pop()
+            continue
+        nodes += 1
+        if nodes > budget:
+            return "unknown", nodes, None
+        if choice % 2 == 0:
+            gap = choice // 2
+            bumped = [i for i in range(t) if values[i] > gap]
             for i in bumped:
-                values[i] -= 1
-            values[t] = 0
-        return None
-
-    try:
-        labeling = assign(0, 0)
-    except _BudgetExhausted:
-        return "unknown", nodes, None
-    if labeling is None:
-        return "not_shellable", nodes, None
-    return "shellable", nodes, labeling
+                values[i] += 1
+            values[t] = gap + 1
+        else:
+            bumped = ()
+            values[t] = (choice + 1) // 2
+        frames[t] = (choice, classes, bumped)
+        if all(_interval_ok(values, ix, complete) for complete, ix in hooks[t]):
+            if t + 1 == m:
+                return "shellable", nodes, dict(zip(edges, values))
+            frames.append((-1, classes + 1 - choice % 2, ()))
+    return "not_shellable", nodes, None
 
 
 _INITIAL_SLICE = 4096

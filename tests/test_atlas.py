@@ -125,6 +125,34 @@ def test_corrupt_line_reports_line_number(tmp_path):
     assert err.value.lineno == 3
 
 
+@pytest.mark.parametrize(
+    "where", ["header", "entry", "record", "field", "encoding"]
+)
+def test_lines_of_the_wrong_shape_are_parse_errors(tmp_path, where):
+    path = tmp_path / "shape.jsonl"
+    write_atlas(str(path), build_atlas(2))
+    lines = path.read_bytes().splitlines()
+    obj = json.loads(lines[2])
+    lineno = 3
+    if where == "header":
+        lines[0] = b"[1]"
+        lineno = 1
+    elif where == "entry":
+        lines[2] = b"[1]"
+    elif where == "record":
+        obj["record"] = 5
+    elif where == "field":
+        obj["record"]["length"] = "1"
+    else:
+        lines[2] = b"\xff\xfe" + lines[2]
+    if where in ("record", "field"):
+        lines[2] = json.dumps(obj).encode()
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(AtlasParseError) as err:
+        read_atlas(str(path))
+    assert err.value.lineno == lineno
+
+
 def test_missing_header_is_an_error(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")

@@ -26,3 +26,4 @@ def test_demo_runs_cleanly(demo, tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert done.stdout
+    assert not list(tmp_path.iterdir()), "the demo left files behind"

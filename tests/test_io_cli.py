@@ -253,3 +253,27 @@ def test_cli_implications_flags_forged_atlas(tmp_path, capsys):
     write_atlas(str(path), forged)
     assert main(["implications", str(path)]) == 1
     assert "VIOLATED" in capsys.readouterr().err
+
+
+def test_cli_non_utf8_input_is_a_usage_error(tmp_path, capsys):
+    lat = tmp_path / "bad.lat"
+    lat.write_bytes(b"2\n0 1\xff\n")
+    assert main(["check", str(lat)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    atlas = tmp_path / "bad.jsonl"
+    atlas.write_bytes(b"\xff\xfe{}\n")
+    assert main(["hunt", str(atlas)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_cli_atlas_rejects_a_bad_output_path_before_the_run(
+    tmp_path, capsys, monkeypatch, flag
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("build_atlas ran before the output path was checked")
+
+    monkeypatch.setattr("latticelab.cli.build_atlas", no_run)
+    missing = tmp_path / "missing" / "a.jsonl"
+    assert main(["atlas", "--max-n", "7", flag, str(missing)]) == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -1,12 +1,18 @@
+import inspect
+import sys
+
+import numpy as np
 import pytest
 
 from latticelab import zoo
+from latticelab.atlas import enumerate_lattices
 from latticelab.errors import (
     NotACoverError,
     NotAMaximalChainError,
     NotJoinIrreducibleError,
 )
 from latticelab.irreducibles import (
+    _cover_paths,
     canonical_join_rep,
     gamma,
     is_perspective,
@@ -19,7 +25,8 @@ from latticelab.irreducibles import (
     perspectivity_witness_recursive,
     perspectivity_witness_scan,
 )
-from latticelab.lattice import dual, ideal_lattice
+from latticelab.lattice import Lattice, dual, ideal_lattice, interval
+from latticelab.poset import FinitePoset, poset_from_covers
 
 
 def fig1d():
@@ -288,3 +295,109 @@ def test_kappa_disjoint_on_join_semidistributive_fixtures():
             for j2 in irr[i + 1:]:
                 shared = kappa_data(L, j1).maximals & kappa_data(L, j2).maximals
                 assert not shared, name
+
+
+# ---------------------------------------------------------------------------
+# The cover walks against the recursive walks they replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_cover_paths(L, a, b):
+    "The recursive walker that _cover_paths replaced, kept as its reference."
+    out = []
+    path = [a]
+
+    def walk(v):
+        if v == b:
+            out.append(tuple(path))
+            return
+        for w in L.upper_covers[v]:
+            if L.leq[w, b]:
+                path.append(w)
+                walk(w)
+                path.pop()
+
+    walk(a)
+    return out
+
+
+def reference_descend(L, a, b):
+    "The recursive descent, building the interval [bot, b] at every level."
+    if b != L.top:
+        sub = interval(L, L.bot, b)
+        local = {x: i for i, x in enumerate(sub.back_map)}
+        return sub.back_map[reference_descend(sub.lattice, local[a], local[b])]
+    if len(L.lower_covers[L.top]) == 1:
+        return L.top
+    c = next(x for x in L.coatoms if x != a)
+    z = int(L.meet[a, c])
+    d = next(
+        x
+        for x in L.upper_covers[z]
+        if L.leq[x, c] and not L.leq[x, a]
+    )
+    sub = interval(L, L.bot, d)
+    local = {x: i for i, x in enumerate(sub.back_map)}
+    return sub.back_map[reference_descend(sub.lattice, local[z], local[d])]
+
+
+@pytest.fixture(scope="module")
+def lattices_up_to_eight():
+    return [L for n in range(1, 9) for L in enumerate_lattices(n)]
+
+
+def test_cover_paths_match_the_recursive_walker(lattices_up_to_eight):
+    intervals = 0
+    for L in lattices_up_to_eight:
+        for a in range(L.n):
+            for b in range(L.n):
+                if L.leq[a, b]:
+                    got = list(_cover_paths(L, a, b))
+                    assert got == reference_cover_paths(L, a, b), (L, a, b)
+                    intervals += 1
+        assert list(maximal_chains(L)) == reference_cover_paths(L, L.bot, L.top)
+    assert intervals == 8007
+
+
+def test_maximal_chains_walk_a_long_chain_without_recursion():
+    n = 1200
+    ids = np.arange(n)
+    L = Lattice(
+        FinitePoset(n, [(i, i + 1) for i in range(n - 1)], ids[:, None] <= ids),
+        np.maximum.outer(ids, ids),
+        np.minimum.outer(ids, ids),
+        0,
+        n - 1,
+    )
+    assert list(maximal_chains(L)) == [tuple(range(n))]
+
+
+def test_witness_descent_matches_the_recursive_reference(lattices_up_to_eight):
+    covers = 0
+    for L in lattices_up_to_eight:
+        for a, b in L.covers:
+            j = reference_descend(L, a, b)
+            ji = perspectivity_witness_recursive(L, (a, b))
+            assert (ji.j, ji.j_star) == (j, L.lower_covers[j][0]), (L, a, b)
+            covers += 1
+    assert covers == 2669
+
+
+def test_witness_descent_runs_without_recursion():
+    # The 2 x 60 grid: down-sets of a point beside a 59-element chain.
+    L, _ = ideal_lattice(
+        poset_from_covers(60, [(i, i + 1) for i in range(1, 59)])
+    )
+    expected = {c: reference_descend(L, c, L.top) for c in L.coatoms}
+    limit = sys.getrecursionlimit()
+    # 30 frames above the caller's depth: too few for a recursive descent
+    # through the 60 levels of the grid.
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        got = {
+            c: perspectivity_witness_recursive(L, (c, L.top)).j
+            for c in L.coatoms
+        }
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == expected

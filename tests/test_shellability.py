@@ -1,4 +1,7 @@
+import hashlib
+import inspect
 import random
+import sys
 import time
 
 import pytest
@@ -321,3 +324,33 @@ def test_verifier_matches_oracle_at_eight_elements():
             reasons.add(assert_matches_oracle(L, labels).reason)
     assert certified == 182
     assert reasons >= REASONS
+
+
+# ---------------------------------------------------------------------------
+# The search loop
+# ---------------------------------------------------------------------------
+
+
+def test_el_search_node_counts_are_pinned_up_to_seven(small_lattices):
+    "Same verdicts and search trees as the recursive search, n <= 7."
+    rows = []
+    for L in small_lattices:
+        result = el_search(L)
+        rows.append((L.n, result.status, result.nodes))
+    assert len(rows) == 78
+    assert sum(nodes for _, _, nodes in rows) == 87_638
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+    assert digest == "c05e48e8867ff63a"
+
+
+def test_el_search_runs_without_recursion():
+    L = zoo.chain(59)
+    limit = sys.getrecursionlimit()
+    # 30 frames above the caller's depth: too few for a search that
+    # recurses once per edge of a 59-edge chain.
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        result = el_search(L)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (result.status, result.nodes) == ("shellable", 59)
