@@ -13,9 +13,10 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from .classify import ClassificationRecord, classify
-from .errors import AtlasParseError, BoundExceededError
+from .errors import AtlasParseError, BoundExceededError, InvariantViolation
 from .lattice import try_lattice
 from .poset import (
+    _minimal_of,
     canonical_form,
     canonicalize,
     poset_from_canonical,
@@ -25,6 +26,8 @@ from .shellability import DEFAULT_EL_BUDGET
 
 PRACTICAL_MAX_N = 10
 SCHEMA_VERSION = 1
+_NAIVE_MAX_N = 6  # the naive oracle scans 2^(n(n-1)/2) cover sets
+_KEEP_EXAMPLES = 5  # counterexamples kept per arrow of the grid
 
 
 # ---------------------------------------------------------------------------
@@ -57,12 +60,9 @@ def _down_set_extensions(p):
 
 def _extend_with_maximal(p, members):
     "p plus one new maximal element whose strict down-set is `members`."
-    n = p.n
-    maximal = [
-        x for x in members if not any(p.leq[x, y] and x != y for y in members)
-    ]
-    covers = list(p.covers) + [(x, n) for x in sorted(maximal)]
-    return poset_from_covers(n + 1, covers)
+    maximal = _minimal_of(p.leq.T, members)
+    covers = list(p.covers) + [(x, p.n) for x in sorted(maximal)]
+    return poset_from_covers(p.n + 1, covers)
 
 
 @lru_cache(maxsize=None)
@@ -98,11 +98,11 @@ def enumerate_lattices(n):
     out.sort(key=lambda item: item[0])
     forms = [f for f, _ in out]
     if len(set(forms)) != len(forms):
-        raise AssertionError("duplicate isomorphism class in enumeration")
+        raise InvariantViolation("duplicate isomorphism class in enumeration")
     return [try_lattice(p) for _, p in out]
 
 
-def enumerate_lattices_naive(n, max_n_guard=6):
+def enumerate_lattices_naive(n):
     """Cross-check oracle: filter every upper-triangular cover set.
 
     Any poset can be labeled along a linear extension, so scanning cover
@@ -111,9 +111,9 @@ def enumerate_lattices_naive(n, max_n_guard=6):
     """
     if n < 1:
         raise BoundExceededError(f"n must be at least 1, got {n}")
-    if n > max_n_guard:
+    if n > _NAIVE_MAX_N:
         raise BoundExceededError(
-            f"naive enumeration is capped at n <= {max_n_guard}"
+            f"naive enumeration is capped at n <= {_NAIVE_MAX_N}"
         )
     slots = [(a, b) for a in range(n) for b in range(a + 1, n)]
     found = {}
@@ -199,25 +199,12 @@ def _header_line(max_n, el_budget):
     )
 
 
-def write_atlas(path, entries, max_n=None, el_budget=DEFAULT_EL_BUDGET, append=False):
-    """Write entries as one JSON object per line under a schema header.
-
-    append=True merges into an existing file, skipping entries whose
-    canonical form is already present; the result is re-sorted so the file
-    stays deterministic.
-    """
-    entries = list(entries)
+def write_atlas(path, entries, max_n=None, el_budget=DEFAULT_EL_BUDGET):
+    """Write entries as one JSON object per line under a schema header,
+    sorted by (n, canonical form) so the file is deterministic."""
+    entries = sorted(entries, key=lambda e: (e.n, e.canonical))
     if max_n is None:
         max_n = max((e.n for e in entries), default=0)
-    if append:
-        try:
-            _, existing = read_atlas(path)
-        except FileNotFoundError:
-            existing = []
-        present = {e.canonical for e in existing}
-        entries = existing + [e for e in entries if e.canonical not in present]
-        max_n = max([max_n] + [e.n for e in entries])
-    entries.sort(key=lambda e: (e.n, e.canonical))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_header_line(max_n, el_budget) + "\n")
         for entry in entries:
@@ -450,7 +437,7 @@ def _zoo_canonical_forms():
     }
 
 
-def check_implications(entries, keep_examples=5):
+def check_implications(entries):
     """Scan every grid arrow against a set of classified entries.
 
     Arrows expected to hold must have zero violations; refuted arrows
@@ -477,7 +464,7 @@ def check_implications(entries, keep_examples=5):
             if record.flag(arrow.conclusion):
                 continue
             violations += 1
-            if len(examples) < keep_examples:
+            if len(examples) < _KEEP_EXAMPLES:
                 examples.append(entry.canonical)
         designated_found = None
         if arrow.designated:

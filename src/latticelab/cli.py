@@ -2,12 +2,17 @@
 
 Exit codes: 0 success; 1 a structural fact that holds for every finite
 lattice was violated (a bug, with a diagnostic dump); 2 usage or input
-errors.  '-' reads stdin wherever a file is expected.
+errors; 3 any other exception (a bug): its traceback, then a last line
+"internal error: TYPE: MESSAGE".  '-' reads stdin wherever a file is
+expected.
 """
 
 import argparse
 import json
+import os
 import sys
+import traceback
+from contextlib import contextmanager
 
 from .atlas import (
     build_atlas,
@@ -36,6 +41,7 @@ from .shellability import (
 EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_USAGE = 2
+_EXIT_INTERNAL = 3
 
 
 def _read_text(path):
@@ -55,6 +61,24 @@ def _load_poset(path):
 
 def _load_lattice(path):
     return try_lattice(_load_poset(path))
+
+
+@contextmanager
+def _claimed_outputs(args):
+    """Open every output path (--dot, --out, --csv) before the work, so a
+    bad one fails at once; appending truncates nothing.  A file created
+    here and still empty at the end (the run failed or drew nothing) goes."""
+    given = vars(args)
+    paths = [given[k] for k in ("dot", "out", "csv") if given.get(k)]
+    created = [path for path in paths if not os.path.exists(path)]
+    try:
+        for path in paths:
+            open(path, "a", encoding="utf-8").close()
+        yield
+    finally:
+        for path in created:
+            if os.path.isfile(path) and not os.path.getsize(path):
+                os.remove(path)
 
 
 def _emit_dot(args, poset, labeling=None):
@@ -146,9 +170,6 @@ def cmd_dual(args):
 
 
 def cmd_atlas(args):
-    for path in (args.out, args.csv):
-        if path:  # a bad path fails now, not after the whole run
-            open(path, "w", encoding="utf-8").close()
     entries = build_atlas(
         args.max_n,
         el_budget=args.el_budget,
@@ -244,13 +265,19 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _claimed_outputs(args):
+            return args.func(args)
     except InvariantViolation as exc:
         print(f"INVARIANT VIOLATION (library bug): {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except (LatticeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a bug: keep its traceback, then say so
+        traceback.print_exc()
+        name = type(exc).__name__
+        print(f"internal error: {name}: {exc}", file=sys.stderr)
+        return _EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from .errors import (
     NotAMaximalChainError,
     NotJoinIrreducibleError,
 )
+from .poset import _minimal_of
 
 
 @dataclass(frozen=True)
@@ -181,12 +182,7 @@ def kappa_data(L, j):
         raise NotJoinIrreducibleError(j)
     j_star = L.lower_covers[j][0]
     members = [a for a in range(L.n) if L.leq[j_star, a] and not L.leq[j, a]]
-    member_set = set(members)
-    maximals = [
-        a
-        for a in members
-        if not any(L.leq[a, x] and a != x for x in member_set)
-    ]
+    maximals = _minimal_of(L.leq.T, members)
     kappa = maximals[0] if len(maximals) == 1 else None
     return KappaData(
         JoinIrreducible(j, j_star),

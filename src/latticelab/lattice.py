@@ -3,6 +3,12 @@
 Join/meet tables are fully materialized (n stays in the hundreds at most),
 trading O(n^2) memory for O(1) queries.  Like FinitePoset, a Lattice never
 mutates after construction.
+
+try_lattice finds and validates joins and meets with one routine,
+_least_bounds: each up-set is a bitset over a linear extension, the
+lowest bit of two up-sets' intersection is a minimal common upper bound,
+and it is the join exactly when the intersection is its own up-set.
+Meets are the same routine on the reversed order and extension.
 """
 
 from functools import cached_property, reduce
@@ -20,6 +26,7 @@ from .errors import (
 from .poset import (
     MAX_ELEMENTS,
     FinitePoset,
+    _minimal_of,
     _seed_canonical,
     canonical_relabeling,
 )
@@ -84,9 +91,6 @@ class Lattice:
     def join_all(self, elements):
         return reduce(lambda a, b: int(self.join[a, b]), elements, self.bot)
 
-    def meet_all(self, elements):
-        return reduce(lambda a, b: int(self.meet[a, b]), elements, self.top)
-
     @cached_property
     def atoms(self):
         return self.upper_covers[self.bot]
@@ -116,28 +120,37 @@ class Lattice:
         return L
 
 
-def _minimal_of(leq, members):
-    "Members with no other member strictly below them."
-    return [
-        x
-        for x in members
-        if not any(leq[y, x] and y != x for y in members)
-    ]
+def _least_bounds(leq, order):
+    """(table, first_bad): least upper bounds under leq, as int32, filled
+    row by row until the first pair (a, b), a <= b in row-major order,
+    that has none (first_bad is None when every pair has one).
 
-
-def _maximal_of(leq, members):
-    return [
-        x
-        for x in members
-        if not any(leq[x, y] and y != x for y in members)
-    ]
+    Up-sets are ints whose bit i stands for order[i], a linear extension.
+    """
+    n = len(order)
+    bits = np.packbits(leq[:, order], axis=1, bitorder="little")
+    up = [int.from_bytes(row.tobytes(), "little") for row in bits]
+    table = np.empty((n, n), dtype=np.int32)
+    for a in range(n):
+        up_a = up[a]
+        row = []
+        for b in range(a, n):
+            common = up_a & up[b]
+            u = order[(common & -common).bit_length() - 1]
+            if up[u] != common:
+                return table, (a, b)
+            row.append(u)
+        table[a, a:] = row
+        table[a:, a] = row
+    return table, None
 
 
 def try_lattice(p):
     """Validate that poset p is a lattice and materialize its tables.
 
     Raises NoBottom/NoTop/NoUniqueJoin/NoUniqueMeet with a witness set of
-    minimal upper (maximal lower) bounds when validation fails.
+    minimal upper (maximal lower) bounds when validation fails; a pair's
+    join is tested before its meet, pairs in row-major order.
     """
     n = p.n
     leq = p.leq
@@ -149,28 +162,18 @@ def try_lattice(p):
     bots = [x for x in range(n) if leq[x, :].all()]
     if not bots:
         raise NoBottom("no element below all others")
-    bot, top = bots[0], tops[0]
 
-    # a has least upper bound u with b  iff  up(a) & up(b) == up(u).
-    up_index = {leq[x, :].tobytes(): x for x in range(n)}
-    down_index = {leq[:, x].tobytes(): x for x in range(n)}
-    join = np.zeros((n, n), dtype=np.int32)
-    meet = np.zeros((n, n), dtype=np.int32)
-    for a in range(n):
-        for b in range(a, n):
-            common_up = leq[a, :] & leq[b, :]
-            u = up_index.get(common_up.tobytes())
-            if u is None:
-                bounds = [x for x in range(n) if common_up[x]]
-                raise NoUniqueJoin(a, b, _minimal_of(leq, bounds))
-            join[a, b] = join[b, a] = u
-            common_down = leq[:, a] & leq[:, b]
-            m = down_index.get(common_down.tobytes())
-            if m is None:
-                bounds = [x for x in range(n) if common_down[x]]
-                raise NoUniqueMeet(a, b, _maximal_of(leq, bounds))
-            meet[a, b] = meet[b, a] = m
-    return Lattice(p, join, meet, bot, top)
+    # Meets are the joins of the reversed order, along the reversed extension.
+    order = p.topological_order
+    join, bad_join = _least_bounds(leq, order)
+    meet, bad_meet = _least_bounds(leq.T, order[::-1])
+    failures = [(bad_join, NoUniqueJoin, leq), (bad_meet, NoUniqueMeet, leq.T)]
+    failures = [f for f in failures if f[0] is not None]
+    if failures:  # the first failing pair; its join before its meet
+        (a, b), error, rel = min(failures, key=lambda f: f[0])
+        bounds = np.flatnonzero(rel[a] & rel[b]).tolist()
+        raise error(a, b, _minimal_of(rel, bounds))
+    return Lattice(p, join, meet, bots[0], tops[0])
 
 
 def dual(L):
@@ -203,21 +206,22 @@ class Interval:
 def interval(L, a, b):
     if not L.leq[a, b]:
         raise NotComparableError(f"{a} is not below {b}")
-    members = [c for c in range(L.n) if L.leq[a, c] and L.leq[c, b]]
-    local = {amb: i for i, amb in enumerate(members)}
-    m = len(members)
-    leq = L.leq[np.ix_(members, members)]
+    members = np.flatnonzero(L.leq[a] & L.leq[:, b])
+    local = np.full(L.n, -1, dtype=np.int32)  # ambient id -> local id
+    local[members] = np.arange(len(members))
+    ids = local.tolist()
     covers = [
-        (local[x], local[y]) for x, y in L.covers if x in local and y in local
+        (ids[x], ids[y]) for x, y in L.covers if ids[x] >= 0 and ids[y] >= 0
     ]
-    join = np.zeros((m, m), dtype=np.int32)
-    meet = np.zeros((m, m), dtype=np.int32)
-    for i, x in enumerate(members):
-        for j, y in enumerate(members):
-            join[i, j] = local[int(L.join[x, y])]
-            meet[i, j] = local[int(L.meet[x, y])]
-    sub = Lattice(FinitePoset(m, covers, leq), join, meet, local[a], local[b])
-    return Interval(a, b, sub, tuple(members))
+    square = np.ix_(members, members)
+    sub = Lattice(
+        FinitePoset(len(members), covers, L.leq[square]),
+        local[L.join[square]],
+        local[L.meet[square]],
+        ids[a],
+        ids[b],
+    )
+    return Interval(a, b, sub, tuple(members.tolist()))
 
 
 DEFAULT_IDEAL_CAP = MAX_ELEMENTS
@@ -234,14 +238,14 @@ def ideal_lattice(p, cap=DEFAULT_IDEAL_CAP):
     n = p.n
     seen = {0}
     frontier = [0]
+    steps = []  # (mask, mask | {x}): every cover of the result, once
     while frontier:
         mask = frontier.pop()
         for x in range(n):
-            if mask >> x & 1:
-                continue
-            if any(not (mask >> y & 1) for y in p.lower_covers[x]):
+            if mask >> x & 1 or any(not mask >> y & 1 for y in p.lower_covers[x]):
                 continue
             new = mask | (1 << x)
+            steps.append((mask, new))
             if new not in seen:
                 if len(seen) >= cap:
                     raise CapExceededError(cap)
@@ -258,15 +262,8 @@ def ideal_lattice(p, cap=DEFAULT_IDEAL_CAP):
             leq[i, j] = mi & mj == mi
             join[i, j] = index[mi | mj]
             meet[i, j] = index[mi & mj]
-    covers = [
-        (i, j)
-        for i, mi in enumerate(masks)
-        for j, mj in enumerate(masks)
-        if mi & mj == mi and bin(mj ^ mi).count("1") == 1
-    ]
-    lattice = Lattice(
-        FinitePoset(size, covers, leq), join, meet, 0, size - 1
-    )
+    covers = [(index[lo], index[hi]) for lo, hi in steps]
+    lattice = Lattice(FinitePoset(size, covers, leq), join, meet, 0, size - 1)
     ideals = tuple(
         frozenset(x for x in range(n) if m >> x & 1) for m in masks
     )

@@ -160,6 +160,17 @@ class FinitePoset:
         return FinitePoset(self.n, covers, self.leq[np.ix_(inverse, inverse)])
 
 
+def _hasse(leq):
+    "The cover matrix of the order leq: a < b with nothing strictly between."
+    lt = leq & ~np.eye(len(leq), dtype=bool)
+    return lt & ~np.matmul(lt, lt)
+
+
+def _minimal_of(leq, members):
+    "Members with no other member strictly below them (maximal: pass leq.T)."
+    return [x for x in members if not any(leq[y, x] and y != x for y in members)]
+
+
 def poset_from_covers(n, pairs):
     """Build a poset from an exact cover relation (strict ingestion).
 
@@ -172,17 +183,14 @@ def poset_from_covers(n, pairs):
     if cycle:
         raise CycleError(cycle)
     leq = _closure_from_covers(n, pair_set)
-    _raise_if_not_reduced(n, pair_set, leq)
-    return FinitePoset(n, pair_set, leq)
-
-
-def _raise_if_not_reduced(n, pair_set, leq):
-    lt = leq & ~np.eye(n, dtype=bool)
-    two_step = np.matmul(lt, lt)
+    hasse = _hasse(leq)
     for a, b in sorted(pair_set):
-        if two_step[a, b]:
-            mid = next(c for c in range(n) if lt[a, c] and lt[c, b])
+        if not hasse[a, b]:
+            mid = next(
+                c for c in range(n) if a != c != b and leq[a, c] and leq[c, b]
+            )
             raise NotReducedError((a, b), (a, mid, b))
+    return FinitePoset(n, pair_set, leq)
 
 
 def transitive_reduce(n, pairs):
@@ -201,9 +209,7 @@ def transitive_reduce(n, pairs):
     if cycle:
         raise CycleError(cycle)
     leq = _closure_from_covers(n, pair_set)
-    lt = leq & ~np.eye(n, dtype=bool)
-    covers = lt & ~np.matmul(lt, lt)
-    pairs = [(int(a), int(b)) for a, b in zip(*np.nonzero(covers))]
+    pairs = [(int(a), int(b)) for a, b in zip(*np.nonzero(_hasse(leq)))]
     return FinitePoset(n, pairs, leq)
 
 

@@ -22,55 +22,46 @@ class Violation:
         return {"kind": self.kind, "elements": list(self.elements)}
 
 
-def is_distributive(L):
-    """Check both distributive laws over all triples.
+def _violation(kind, a, bad):
+    "The Violation at a and the first (b, c) where the bool matrix bad is set."
+    b, c = map(int, np.argwhere(bad)[0])
+    return Violation(kind, (a, b, c))
 
-    Returns (flag, violation): the first offending triple in row-major
-    order when the laws fail.
-    """
-    n, join, meet = L.n, L.join, L.meet
-    for a in range(n):
-        lhs = meet[np.ix_(join[a], join[a])]  # (a v b) ^ (a v c)
-        rhs = join[a][meet]                   # a v (b ^ c)
-        bad = lhs != rhs
+
+def is_distributive(L):
+    """Check both distributive laws over all triples: for each a in turn,
+    (a x b) y (a x c) = a x (b y c) with (x, y) = (join, meet), then with
+    (meet, join).  Returns (flag, violation), the first offending triple
+    in that order when they fail."""
+    join, meet = L.join, L.meet
+    for a in range(L.n):
+        for x, y in ((join, meet), (meet, join)):
+            bad = y[np.ix_(x[a], x[a])] != x[a][y]
+            if bad.any():
+                return False, _violation("distributive", a, bad)
+    return True, None
+
+
+def _semidistributive(kind, x, y):
+    """(flag, violation) for a x b = a x c forcing a x b = a x (b y c): the
+    join semidistributive law for (x, y) = (join, meet), the meet one for
+    (meet, join).  The violation is the first failing triple."""
+    for a in range(len(x)):
+        row = x[a]
+        bad = (row[:, None] == row[None, :]) & (row[y] != row[:, None])
         if bad.any():
-            b, c = map(int, np.argwhere(bad)[0])
-            return False, Violation("distributive", (a, b, c))
-        lhs = join[np.ix_(meet[a], meet[a])]  # (a ^ b) v (a ^ c)
-        rhs = meet[a][join]                   # a ^ (b v c)
-        bad = lhs != rhs
-        if bad.any():
-            b, c = map(int, np.argwhere(bad)[0])
-            return False, Violation("distributive", (a, b, c))
+            return False, _violation(kind, a, bad)
     return True, None
 
 
 def is_join_semidistributive(L):
     "a v b = a v c must force a v b = a v (b ^ c); first violating triple otherwise."
-    n, join, meet = L.n, L.join, L.meet
-    for a in range(n):
-        row = join[a]
-        same = row[:, None] == row[None, :]
-        collapsed = row[meet] == row[:, None]
-        bad = same & ~collapsed
-        if bad.any():
-            b, c = map(int, np.argwhere(bad)[0])
-            return False, Violation("join_semidistributive", (a, b, c))
-    return True, None
+    return _semidistributive("join_semidistributive", L.join, L.meet)
 
 
 def is_meet_semidistributive(L):
     "The dual condition: a ^ b = a ^ c must force a ^ b = a ^ (b v c)."
-    n, join, meet = L.n, L.join, L.meet
-    for a in range(n):
-        row = meet[a]
-        same = row[:, None] == row[None, :]
-        collapsed = row[join] == row[:, None]
-        bad = same & ~collapsed
-        if bad.any():
-            b, c = map(int, np.argwhere(bad)[0])
-            return False, Violation("meet_semidistributive", (a, b, c))
-    return True, None
+    return _semidistributive("meet_semidistributive", L.meet, L.join)
 
 
 def is_semidistributive(L):
@@ -87,8 +78,7 @@ def left_modular_element_violation(L, a):
     rhs = L.join[:, L.meet[a]]
     bad = strict & (lhs != rhs)
     if bad.any():
-        b, c = map(int, np.argwhere(bad)[0])
-        return Violation("left_modular", (a, b, c))
+        return _violation("left_modular", a, bad)
     return None
 
 

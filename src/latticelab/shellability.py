@@ -94,14 +94,12 @@ class ELVerdict:
 
 
 def _intervals_by_size(L):
-    "(a, b) pairs with a < b, smallest intervals first."
-    pairs = []
-    for a in range(L.n):
-        for b in range(L.n):
-            if a != b and L.leq[a, b]:
-                size = int((L.leq[a, :] & L.leq[:, b]).sum())
-                pairs.append((size, a, b))
-    return [(a, b) for _, a, b in sorted(pairs)]
+    "(a, b) pairs with a < b as Python ints, in (|[a, b]|, a, b) order."
+    leq = L.leq.astype(np.int32)
+    sizes = leq @ leq  # sizes[a, b] = |[a, b]|
+    a, b = np.nonzero(L.leq & ~np.eye(L.n, dtype=bool))
+    order = np.lexsort((b, a, sizes[a, b]))
+    return list(zip(a[order].tolist(), b[order].tolist()))
 
 
 def _interval_failure(L, labeling, a, b):
@@ -238,12 +236,10 @@ def is_el_labeling(L, labeling):
     found by listing the chains of that interval alone.
     """
     _check_complete(L, labeling)
-    failing = _failing_intervals(L, labeling)
+    failing = set(_failing_intervals(L, labeling))
     if not failing:
         return ELVerdict("is_el")
-    leq = L.leq.astype(np.int32)
-    sizes = leq @ leq  # sizes[a, b] = |[a, b]|
-    _, a, b = min((int(sizes[a, b]), a, b) for a, b in failing)
+    a, b = next(ab for ab in _intervals_by_size(L) if ab in failing)
     verdict = _interval_failure(L, labeling, a, b)
     if verdict is None:
         raise InvariantViolation(

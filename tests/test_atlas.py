@@ -100,19 +100,6 @@ def test_reclassifying_an_entry_reproduces_its_record():
         assert classify(L) == entry.record
 
 
-def test_append_skips_existing_entries(tmp_path):
-    path = tmp_path / "atlas.jsonl"
-    entries = build_atlas(4)
-    write_atlas(str(path), entries)
-    more = build_atlas(5)
-    merged = write_atlas(str(path), more, append=True)
-    assert len(merged) == len(build_atlas(5))
-    header, back = read_atlas(str(path))
-    assert [e.canonical for e in back] == sorted(
-        {e.canonical for e in merged}
-    )
-
-
 def test_corrupt_line_reports_line_number(tmp_path):
     path = tmp_path / "broken.jsonl"
     entries = build_atlas(3)

@@ -277,3 +277,45 @@ def test_cli_atlas_rejects_a_bad_output_path_before_the_run(
     missing = tmp_path / "missing" / "a.jsonl"
     assert main(["atlas", "--max-n", "7", flag, str(missing)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["check", "label", "el"])
+def test_cli_rejects_a_bad_dot_path_before_the_work(
+    tmp_path, capsys, monkeypatch, command
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran before the --dot path was checked")
+
+    for name in ("classify", "el_search", "left_modular_chain"):
+        monkeypatch.setattr(f"latticelab.cli.{name}", no_work)
+    missing = tmp_path / "missing" / "x.dot"
+    path = lat_file(tmp_path, zoo.m3())
+    assert main([command, path, "--dot", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "command, lattice",
+    [("label", zoo.jsd_not_left_modular), ("el", zoo.hexagon)],
+)
+def test_cli_run_that_draws_nothing_leaves_no_dot_file(
+    tmp_path, capsys, command, lattice
+):
+    dot_path = tmp_path / "x.dot"
+    argv = [command, lat_file(tmp_path, lattice()), "--dot", str(dot_path)]
+    assert main(argv) == 0
+    assert not dot_path.exists()
+    dot_path.write_text("kept")  # a file that was there stays as it was
+    assert main(argv) == 0
+    assert dot_path.read_text() == "kept"
+
+
+def test_cli_unexpected_exception_is_exit_3(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("lost")
+
+    monkeypatch.setattr("latticelab.cli.classify", broken)
+    assert main(["check", lat_file(tmp_path, zoo.m3())]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback")
+    assert err.endswith("\ninternal error: KeyError: 'lost'\n")

@@ -1,17 +1,112 @@
+import random
+
 import numpy as np
 import pytest
 
 from latticelab import zoo
+from latticelab.atlas import enumerate_lattices
 from latticelab.errors import (
     CapExceededError,
+    LatticeError,
     NoBottom,
     NotALatticeError,
     NotComparableError,
     NoTop,
     NoUniqueJoin,
+    NoUniqueMeet,
 )
 from latticelab.lattice import dual, ideal_lattice, interval, try_lattice
-from latticelab.poset import is_isomorphic, poset_from_covers
+from latticelab.poset import is_isomorphic, poset_from_covers, transitive_reduce
+
+
+def reference_try_lattice(p):
+    """try_lattice as the library computed it before: per-pair numpy ANDs
+    of up-sets and down-sets, looked up in indexes of their bytes."""
+    n = p.n
+    leq = p.leq
+    if n == 0:
+        raise NoBottom("empty poset has no bottom")
+    tops = [x for x in range(n) if leq[:, x].all()]
+    if not tops:
+        raise NoTop("no element above all others")
+    bots = [x for x in range(n) if leq[x, :].all()]
+    if not bots:
+        raise NoBottom("no element below all others")
+
+    def minimal(bounds):
+        return [x for x in bounds if not any(leq[y, x] and y != x for y in bounds)]
+
+    def maximal(bounds):
+        return [x for x in bounds if not any(leq[x, y] and y != x for y in bounds)]
+
+    up_index = {leq[x, :].tobytes(): x for x in range(n)}
+    down_index = {leq[:, x].tobytes(): x for x in range(n)}
+    join = np.zeros((n, n), dtype=np.int32)
+    meet = np.zeros((n, n), dtype=np.int32)
+    for a in range(n):
+        for b in range(a, n):
+            common_up = leq[a, :] & leq[b, :]
+            u = up_index.get(common_up.tobytes())
+            if u is None:
+                bounds = [x for x in range(n) if common_up[x]]
+                raise NoUniqueJoin(a, b, minimal(bounds))
+            join[a, b] = join[b, a] = u
+            common_down = leq[:, a] & leq[:, b]
+            m = down_index.get(common_down.tobytes())
+            if m is None:
+                bounds = [x for x in range(n) if common_down[x]]
+                raise NoUniqueMeet(a, b, maximal(bounds))
+            meet[a, b] = meet[b, a] = m
+    return join, meet, bots[0], tops[0]
+
+
+def outcome(build, p):
+    "What build(p) gives: its tables and bounds, or its error's details."
+    try:
+        result = build(p)
+    except LatticeError as exc:
+        return type(exc), str(exc), getattr(exc, "candidates", None)
+    if not isinstance(result, tuple):
+        result = (result.join, result.meet, result.bot, result.top)
+    join, meet, bot, top = result
+    return join.dtype, join.tolist(), meet.tolist(), bot, top
+
+
+def random_poset(rng, max_n=9):
+    """A seeded random poset on up to max_n + 2 elements, randomly labeled;
+    most of them get a new bottom and top, so all four errors occur."""
+    n = rng.randint(0, max_n)
+    density = rng.random()
+    pairs = [
+        (a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < density
+    ]
+    if n and rng.random() < 0.7:
+        pairs += [(n, x) for x in range(n)] + [(x, n + 1) for x in range(n + 1)]
+        n += 2
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return transitive_reduce(n, [(perm[a], perm[b]) for a, b in pairs])
+
+
+def test_try_lattice_matches_reference_on_every_lattice_up_to_8():
+    rng = random.Random(5)
+    for n in range(1, 9):
+        for L in enumerate_lattices(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for p in (L.poset, L.poset.relabel(perm)):
+                assert outcome(try_lattice, p) == outcome(reference_try_lattice, p)
+
+
+def test_try_lattice_matches_reference_on_random_posets():
+    rng = random.Random(11)
+    kinds = set()
+    for _ in range(2000):
+        p = random_poset(rng)
+        got = outcome(try_lattice, p)
+        assert got == outcome(reference_try_lattice, p), p
+        kinds.add(got[0])
+    assert {NoBottom, NoTop, NoUniqueJoin, NoUniqueMeet} < kinds
 
 
 def test_hexagon_is_lattice():
@@ -182,3 +277,20 @@ def test_ideal_lattice_cap():
     # a custom cap bites earlier
     with pytest.raises(CapExceededError):
         ideal_lattice(zoo.antichain(4), cap=10)
+
+
+def test_ideal_lattice_covers_are_the_one_element_steps():
+    rng = random.Random(3)
+    for _ in range(40):
+        n = rng.randint(0, 6)
+        pairs = [
+            (a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3
+        ]
+        L, ideals = ideal_lattice(transitive_reduce(n, pairs))
+        scan = tuple(
+            (i, j)
+            for i, lo in enumerate(ideals)
+            for j, hi in enumerate(ideals)
+            if lo < hi and len(hi - lo) == 1
+        )
+        assert L.covers == scan

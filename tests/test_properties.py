@@ -2,9 +2,10 @@ import inspect
 import sys
 
 from latticelab import zoo
+from latticelab.atlas import enumerate_lattices
 from latticelab.classify import classify
 from latticelab.irreducibles import length, maximal_chains
-from latticelab.lattice import ideal_lattice
+from latticelab.lattice import dual, ideal_lattice
 from latticelab.properties import (
     is_distributive,
     is_join_semidistributive,
@@ -131,6 +132,26 @@ def test_seven_element_fixture_meet_semidistributive_violation():
     a, b, c = violation.elements
     assert L.meet[a, b] == L.meet[a, c]
     assert L.meet[a, L.join[b, c]] != L.meet[a, b]
+
+
+def test_semidistributive_laws_are_dual_on_every_lattice_up_to_8():
+    for n in range(1, 9):
+        for L in enumerate_lattices(n):
+            flag, v = is_meet_semidistributive(L)
+            dual_flag, dual_v = is_join_semidistributive(dual(L))
+            assert flag == dual_flag
+            assert (v and v.elements) == (dual_v and dual_v.elements)
+            if v:
+                assert (v.kind, dual_v.kind) == (
+                    "meet_semidistributive",
+                    "join_semidistributive",
+                )
+
+
+def test_distributivity_agrees_with_the_dual_on_every_lattice_up_to_8():
+    for n in range(1, 9):
+        for L in enumerate_lattices(n):
+            assert is_distributive(L)[0] == is_distributive(dual(L))[0]
 
 
 def test_is_semidistributive_combines_both_laws():
