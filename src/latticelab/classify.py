@@ -77,13 +77,16 @@ class ClassificationRecord:
 
 
 def classify(L, el_budget=DEFAULT_EL_BUDGET):
-    """Compute every flag of the record, each from its own definition.
+    """Compute every flag of the record, each by its own decision procedure.
 
     Nothing is inferred from implications between properties; the record
     is what the implication scans are checked against, so every flag runs
-    its full decision procedure.  A left-modular chain short-circuits the
-    shellability search because its induced labeling is a certificate
-    (which is still verified here, not assumed).
+    its full decision procedure.  Distributivity and left modularity are
+    decided by the exact characterisations in properties.py (Birkhoff's
+    one-step test, the cover form of the left-modular law), the
+    semidistributive laws by scans of every triple.  A left-modular chain
+    short-circuits the shellability search because its induced labeling
+    is a certificate (which is still verified here, not assumed).
     """
     distributive, dist_violation = is_distributive(L)
     jsd, jsd_violation = is_join_semidistributive(L)

@@ -1,15 +1,35 @@
 """Decision procedures for the lattice property zoo.
 
-Every check is an exhaustive scan over pairs or triples.  That is slow in
-the asymptotic sense and exactly what we want here: these functions are
-the trusted oracles that the rest of the library (and the atlas) is
-validated against, so no shortcuts.
+The semidistributive laws are exhaustive scans over triples.  The other
+two decisions use exact characterisations that need far less than a scan
+of every triple:
+
+* Distributivity, in O(n * |J|).  Let J be the join irreducibles, j_*
+  the lower cover of j, and cnt[y] = |{j in J : j <= y}|.  L is
+  distributive exactly when cnt[x v j] = cnt[x] + 1 for every x and every
+  j in J with j_* <= x and j not <= x.  Proof: x -> J & down(x) always
+  embeds L into the down-sets of J (Birkhoff); its image is every
+  down-set exactly when it is closed under adding one minimal missing j,
+  such a j is minimal exactly when j_* <= x, and the only candidate for
+  the new image is x v j.
+* Left modularity of an element a, in O(m) for m covers.  a is left
+  modular exactly when (b v a) ^ c = b v (a ^ c) on every cover b < c.
+  Proof: a failure at y < z gives y' = y v (a ^ z) < z' = (y v a) ^ z
+  with a ^ y' = a ^ z' and a v y' = a v z', and every cover y' < w <= z'
+  inherits both equalities, so the law fails on that cover.
+
+Only when a fast test fails does the triple scan run, to name the same
+first violation as the scan over every triple would.  The brute-force
+deciders these tests replace are kept in tests/test_properties.py as
+reference_is_distributive and reference_left_modular_elements, and the
+tests hold the fast paths to them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvariantViolation
 from .irreducibles import length
 
 
@@ -28,18 +48,36 @@ def _violation(kind, a, bad):
     return Violation(kind, (a, b, c))
 
 
+def _one_step_distributive(L):
+    "Birkhoff's one-step test of the module docstring."
+    lower = L.lower_covers
+    J = [x for x in range(L.n) if len(lower[x]) == 1]
+    if len(J) != length(L):  # a distributive L adds one j per cover step
+        return False
+    j_star = [lower[j][0] for j in J]
+    leq = L.leq
+    cnt = leq[J].sum(axis=0)
+    minimal_missing = (leq[j_star] & ~leq[J]).T  # rows x, cols j
+    grows_by_one = cnt[L.join[:, J]] == cnt[:, None] + 1
+    return bool((grows_by_one | ~minimal_missing).all())
+
+
 def is_distributive(L):
-    """Check both distributive laws over all triples: for each a in turn,
-    (a x b) y (a x c) = a x (b y c) with (x, y) = (join, meet), then with
-    (meet, join).  Returns (flag, violation), the first offending triple
-    in that order when they fail."""
+    """(flag, violation) for both distributive laws, decided by the
+    one-step test.  A violation is the first offending triple of the scan:
+    for each a in turn, (a x b) y (a x c) = a x (b y c) with
+    (x, y) = (join, meet), then with (meet, join)."""
+    if _one_step_distributive(L):
+        return True, None
     join, meet = L.join, L.meet
     for a in range(L.n):
         for x, y in ((join, meet), (meet, join)):
             bad = y[np.ix_(x[a], x[a])] != x[a][y]
             if bad.any():
                 return False, _violation("distributive", a, bad)
-    return True, None
+    raise InvariantViolation(
+        f"{L!r} fails the one-step test but satisfies both distributive laws"
+    )
 
 
 def _semidistributive(kind, x, y):
@@ -71,22 +109,38 @@ def is_semidistributive(L):
     return is_meet_semidistributive(L)
 
 
+def _cover_arrays(L):
+    "(lower, upper): the covers of L as two index arrays."
+    lower, upper = np.array(L.covers, dtype=np.intp).reshape(-1, 2).T
+    return lower, upper
+
+
+def _left_modular_at(L, a, lower, upper):
+    "Whether (b v a) ^ c = b v (a ^ c) on every cover b < c in (lower, upper)."
+    lhs = L.meet[L.join[lower, a], upper]
+    rhs = L.join[lower, L.meet[a, upper]]
+    return bool((lhs == rhs).all())
+
+
 def left_modular_element_violation(L, a):
     "First pair b < c with (b v a) ^ c != b v (a ^ c), or None."
+    if _left_modular_at(L, a, *_cover_arrays(L)):
+        return None
     strict = L.leq & ~np.eye(L.n, dtype=bool)
     lhs = L.meet[L.join[:, a]]        # rows: b, cols: c
     rhs = L.join[:, L.meet[a]]
     bad = strict & (lhs != rhs)
-    if bad.any():
-        return _violation("left_modular", a, bad)
-    return None
+    if not bad.any():
+        raise InvariantViolation(
+            f"{a} fails the left-modular law on a cover of {L!r} but on no pair"
+        )
+    return _violation("left_modular", a, bad)
 
 
 def left_modular_elements(L):
     "All elements a with (b v a) ^ c = b v (a ^ c) whenever b < c."
-    return [
-        a for a in range(L.n) if left_modular_element_violation(L, a) is None
-    ]
+    lower, upper = _cover_arrays(L)
+    return [a for a in range(L.n) if _left_modular_at(L, a, lower, upper)]
 
 
 def _left_modular_set(L):

@@ -31,11 +31,10 @@ from .errors import (
 from .irreducibles import (
     _cover_paths,
     check_maximal_chain,
-    gamma,
-    join_irreducibles,
+    join_irreducible_ids,
     length,
 )
-from .properties import _left_modular_set
+from .properties import _cover_arrays, _left_modular_set
 
 DEFAULT_EL_BUDGET = 10_000_000
 
@@ -43,9 +42,12 @@ DEFAULT_EL_BUDGET = 10_000_000
 def lm_labeling(L, chain):
     """Edge labeling induced by a maximum-length left-modular chain.
 
-    Cover (a, b) gets the smallest chain index of a join irreducible j
-    with a v j = b.  The candidate set is never empty (each cover has a
-    perspectivity witness below its upper element); this is asserted.
+    Cover (a, b) gets the smallest chain index gamma(j) of a join
+    irreducible j with a v j = b.  Every gamma(j) comes from one table
+    lookup, and every cover takes its label from one scan of the join
+    irreducibles sorted by gamma.  The candidate set is never empty (each
+    cover has a perspectivity witness below its upper element); this is
+    asserted.
     """
     chain = check_maximal_chain(L, chain)
     if len(chain) - 1 != length(L):
@@ -56,16 +58,20 @@ def lm_labeling(L, chain):
     for c in chain:
         if c not in lm:
             raise ChainNotLeftModular(c)
-    gam = {ji.j: gamma(L, chain, ji.j) for ji in join_irreducibles(L)}
-    labels = {}
-    for a, b in L.covers:
-        candidates = [s for j, s in gam.items() if L.join[a, j] == b]
-        if not candidates:
-            raise InvariantViolation(
-                f"no join irreducible generates the cover {(a, b)}"
-            )
-        labels[(a, b)] = min(candidates)
-    return labels
+    if not L.covers:
+        return {}
+    J = np.array(join_irreducible_ids(L), dtype=np.intp)
+    gam = L.leq[np.ix_(J, chain)].argmax(axis=1)  # first chain index above j
+    by_gamma = np.argsort(gam, kind="stable")
+    lower, upper = _cover_arrays(L)
+    generates = L.join[np.ix_(lower, J[by_gamma])] == upper[:, None]
+    first = generates.argmax(axis=1)
+    missing = np.flatnonzero(~generates[np.arange(len(first)), first])
+    if missing.size:
+        raise InvariantViolation(
+            f"no join irreducible generates the cover {L.covers[missing[0]]}"
+        )
+    return dict(zip(L.covers, gam[by_gamma][first].tolist()))
 
 
 def label_vector(labeling, chain):

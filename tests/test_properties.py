@@ -1,30 +1,119 @@
 import inspect
 import sys
+import time
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from latticelab import zoo
 from latticelab.atlas import enumerate_lattices
 from latticelab.classify import classify
 from latticelab.irreducibles import length, maximal_chains
 from latticelab.lattice import dual, ideal_lattice
+from latticelab.poset import transitive_reduce
 from latticelab.properties import (
+    Violation,
     is_distributive,
     is_join_semidistributive,
     is_meet_semidistributive,
     is_semidistributive,
     left_modular_chain,
+    left_modular_element_violation,
     left_modular_elements,
 )
+
+
+def _first_violation(kind, a, bad):
+    b, c = map(int, np.argwhere(bad)[0])
+    return Violation(kind, (a, b, c))
+
+
+def reference_is_distributive(L):
+    """is_distributive as the library computed it before: both
+    distributive laws over all triples, for each a in turn
+    (a x b) y (a x c) = a x (b y c) with (x, y) = (join, meet), then with
+    (meet, join); the first failing triple in that order."""
+    join, meet = L.join, L.meet
+    for a in range(L.n):
+        for x, y in ((join, meet), (meet, join)):
+            bad = y[np.ix_(x[a], x[a])] != x[a][y]
+            if bad.any():
+                return False, _first_violation("distributive", a, bad)
+    return True, None
+
+
+def reference_left_modular_element_violation(L, a):
+    "First pair b < c with (b v a) ^ c != b v (a ^ c), over all pairs."
+    strict = L.leq & ~np.eye(L.n, dtype=bool)
+    lhs = L.meet[L.join[:, a]]
+    rhs = L.join[:, L.meet[a]]
+    bad = strict & (lhs != rhs)
+    if bad.any():
+        return _first_violation("left_modular", a, bad)
+    return None
+
+
+def reference_left_modular_elements(L):
+    return [
+        a
+        for a in range(L.n)
+        if reference_left_modular_element_violation(L, a) is None
+    ]
+
+
+def assert_matches_references(L):
+    assert is_distributive(L) == reference_is_distributive(L), L
+    assert left_modular_elements(L) == reference_left_modular_elements(L), L
+    for a in range(L.n):
+        assert left_modular_element_violation(
+            L, a
+        ) == reference_left_modular_element_violation(L, a), (L, a)
+
+
+def test_deciders_match_references_on_every_lattice_up_to_8_and_duals():
+    for n in range(1, 9):
+        for L in enumerate_lattices(n):
+            assert_matches_references(L)
+            assert_matches_references(dual(L))
+
+
+def test_deciders_match_references_on_large_families(large_lattices):
+    flags = {}
+    for name, L in large_lattices.items():
+        assert_matches_references(L)
+        flags[name] = is_distributive(L)[0]
+    # Chains, Boolean and ideal lattices are distributive; partition
+    # lattices of 3 or more points are not.
+    assert [name for name, ok in flags.items() if not ok] == [
+        "partitions4", "partitions5", "partitions6",
+        "dual_partitions4", "dual_partitions5", "dual_partitions6",
+    ]
+
+
+def test_distributivity_and_left_modularity_scale_to_b10():
+    L = zoo.boolean(10)
+    for decide in (is_distributive, left_modular_elements):
+        start = time.perf_counter()
+        result = decide(L)
+        assert time.perf_counter() - start < 3, decide.__name__
+    assert is_distributive(L) == (True, None)
+    assert result == list(range(L.n))
+
+
+def test_a_thousand_element_chain_is_left_modular_throughout():
+    L = zoo.chain(999)
+    assert left_modular_elements(L) == list(range(1000))
 
 
 def test_classify_tests_each_element_for_left_modularity_once(monkeypatch):
     import latticelab.properties as properties
 
     calls = []
-    check = properties.left_modular_element_violation
+    check = properties._left_modular_at
     monkeypatch.setattr(
         properties,
-        "left_modular_element_violation",
-        lambda L, a: calls.append(a) or check(L, a),
+        "_left_modular_at",
+        lambda L, a, *covers: calls.append(a) or check(L, a, *covers),
     )
     for L in (zoo.chain(30), zoo.boolean(3), zoo.m3()):
         calls.clear()
@@ -250,3 +339,22 @@ def test_record_json_roundtrip():
     record = classify(zoo.pentagon())
     again = ClassificationRecord.from_json(record.as_json())
     assert again == record
+
+
+LAW_LATTICES = [L for n in range(1, 8) for L in enumerate_lattices(n)]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_distributivity_and_left_modularity_laws(data):
+    L = data.draw(st.sampled_from(LAW_LATTICES))
+    assert is_distributive(L)[0] == is_distributive(dual(L))[0]
+    perm = data.draw(st.permutations(range(L.n)))
+    lm = left_modular_elements(L)
+    assert left_modular_elements(L.relabel(perm)) == sorted(perm[a] for a in lm)
+    k = data.draw(st.integers(1, 7))
+    point = st.integers(0, k - 1)
+    pairs = data.draw(st.sets(st.tuples(point, point)))
+    poset = transitive_reduce(k, [(a, b) for a, b in pairs if a < b])
+    M, _ = ideal_lattice(poset)
+    assert is_distributive(M) == (True, None)

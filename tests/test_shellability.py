@@ -14,8 +14,9 @@ from latticelab.errors import (
     ChainNotMaximumLength,
     PartialLabelingError,
 )
-from latticelab.lattice import ideal_lattice, try_lattice
-from latticelab.poset import poset_from_covers, transitive_reduce
+from latticelab.irreducibles import gamma, join_irreducibles
+from latticelab.lattice import dual, ideal_lattice
+from latticelab.poset import poset_from_covers
 from latticelab.properties import left_modular_chain
 from latticelab.shellability import (
     el_search,
@@ -53,6 +54,32 @@ def test_chain_lattice_labels_run_up():
     chain = tuple(range(5))
     labels = lm_labeling(L, chain)
     assert label_vector(labels, chain) == (1, 2, 3, 4)
+
+
+def reference_lm_labeling(L, chain):
+    """lm_labeling as the library computed it before: gamma(j) one join
+    irreducible at a time, then for each cover the least gamma(j) over
+    the j with a v j = b."""
+    gam = {ji.j: gamma(L, chain, ji.j) for ji in join_irreducibles(L)}
+    return {
+        (a, b): min(s for j, s in gam.items() if L.join[a, j] == b)
+        for a, b in L.covers
+    }
+
+
+def test_lm_labeling_matches_reference_up_to_8_and_on_large_families(
+    large_lattices,
+):
+    small = [
+        M for n in range(1, 9) for L in enumerate_lattices(n) for M in (L, dual(L))
+    ]
+    labeled = 0
+    for L in small + list(large_lattices.values()):
+        chain = left_modular_chain(L)
+        if chain is not None:
+            assert lm_labeling(L, chain) == reference_lm_labeling(L, chain), L
+            labeled += 1
+    assert labeled == 540
 
 
 def test_lm_labeling_rejects_bad_chains():
@@ -247,22 +274,6 @@ def test_verifier_matches_oracle_on_drawn_labelings(small_lattices):
     assert reasons >= REASONS
 
 
-def partition_lattice(k):
-    "Set partitions of a k-set ordered by refinement."
-    parts = [()]
-    for x in range(k):
-        parts = [
-            q[:i] + (q[i] | {x},) + q[i + 1:] for q in parts for i in range(len(q))
-        ] + [q + (frozenset({x}),) for q in parts]
-    pairs = [
-        (i, j)
-        for i, p in enumerate(parts)
-        for j, q in enumerate(parts)
-        if i != j and all(any(b <= c for c in q) for b in p)
-    ]
-    return try_lattice(transitive_reduce(len(parts), pairs))
-
-
 def perturbed(labeling, rng):
     "The labeling with one cover relabeled, or two covers' labels swapped."
     out = dict(labeling)
@@ -275,12 +286,12 @@ def perturbed(labeling, rng):
     return out
 
 
-def test_verifier_matches_oracle_on_larger_lattices():
+def test_verifier_matches_oracle_on_larger_lattices(large_lattices):
     rng = random.Random(11)
     poset = poset_from_covers(7, [(0, 3), (1, 3), (1, 4), (2, 5), (4, 6)])
     lattices = [
         zoo.boolean(5),
-        partition_lattice(4),
+        large_lattices["partitions4"],
         zoo.chain(39),
         ideal_lattice(poset)[0],
         ideal_lattice(zoo.vee_plus_isolated())[0],
