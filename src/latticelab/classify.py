@@ -84,7 +84,7 @@ def classify(L, el_budget=DEFAULT_EL_BUDGET):
     its full decision procedure.  Distributivity and left modularity are
     decided by the exact characterisations in properties.py (Birkhoff's
     one-step test, the cover form of the left-modular law), the
-    semidistributive laws by scans of every triple.  A left-modular chain
+    semidistributive laws by the fiber test in cover form.  A left-modular chain
     short-circuits the shellability search because its induced labeling
     is a certificate (which is still verified here, not assumed).
     """

@@ -254,17 +254,33 @@ def ideal_lattice(p, cap=DEFAULT_IDEAL_CAP):
     masks = sorted(seen, key=lambda m: (bin(m).count("1"), m))
     index = {m: i for i, m in enumerate(masks)}
     size = len(masks)
-    leq = np.zeros((size, size), dtype=bool)
-    join = np.zeros((size, size), dtype=np.int32)
-    meet = np.zeros((size, size), dtype=np.int32)
-    for i, mi in enumerate(masks):
-        for j, mj in enumerate(masks):
-            leq[i, j] = mi & mj == mi
-            join[i, j] = index[mi | mj]
-            meet[i, j] = index[mi & mj]
+    # step[u, x] is the ideal u + {x}, for x in u or addable to it; each
+    # ideal j but the empty one is some cover via[j] = (k, x), j = k + {x}.
+    step = np.full((size, n), -1, dtype=np.int32)
+    via = [None] * size
+    for lo, hi in steps:
+        k, j = index[lo], index[hi]
+        x = (hi ^ lo).bit_length() - 1
+        step[k, x] = j
+        via[j] = (k, x)
+    member = np.zeros((size, n), dtype=bool)
+    ids = np.arange(size, dtype=np.int32)
+    for j in range(1, size):
+        k, x = via[j]
+        member[j] = member[k]
+        member[j, x] = True
+        step[j, member[j]] = j
+    # Rows in increasing order, each from a cover below it: with j = k + {x},
+    # i v j = (i v k) + {x}, and i ^ j = (i ^ k) + {x} when x is in i.
+    join = np.empty((size, size), dtype=np.int32)
+    meet = np.empty((size, size), dtype=np.int32)
+    join[0], meet[0] = ids, 0
+    for j in range(1, size):
+        k, x = via[j]
+        join[j] = step[join[k], x]
+        meet[j] = np.where(member[:, x], step[meet[k], x], meet[k])
+    leq = meet == ids[:, None]  # i <= j exactly when i ^ j = i
     covers = [(index[lo], index[hi]) for lo, hi in steps]
     lattice = Lattice(FinitePoset(size, covers, leq), join, meet, 0, size - 1)
-    ideals = tuple(
-        frozenset(x for x in range(n) if m >> x & 1) for m in masks
-    )
+    ideals = tuple(frozenset(np.flatnonzero(row).tolist()) for row in member)
     return lattice, ideals

@@ -1,8 +1,7 @@
 """Decision procedures for the lattice property zoo.
 
-The semidistributive laws are exhaustive scans over triples.  The other
-two decisions use exact characterisations that need far less than a scan
-of every triple:
+Each law is decided by an exact characterisation that needs far less
+than a scan of every triple:
 
 * Distributivity, in O(n * |J|).  Let J be the join irreducibles, j_*
   the lower cover of j, and cnt[y] = |{j in J : j <= y}|.  L is
@@ -17,12 +16,26 @@ of every triple:
   Proof: a failure at y < z gives y' = y v (a ^ z) < z' = (y v a) ^ z
   with a ^ y' = a ^ z' and a v y' = a v z', and every cover y' < w <= z'
   inherits both equalities, so the law fails on that cover.
+* Join semidistributivity, in O(m) per element a.  The fibers
+  F_v = {x : a v x = v}, one for each v >= a, are convex (x <= z <= w
+  with x, w in F_v puts z in F_v) and closed under joins.  The law
+  a v b = a v c => a v (b ^ c) = a v b holds at a exactly when every
+  fiber is closed under meets, that is, when every fiber has a least
+  element: a least element m of F_v lies below b ^ c for b, c in F_v, so
+  convexity puts b ^ c in F_v, and a fiber closed under meets holds the
+  meet of its members.  By convexity, x is minimal in its fiber exactly
+  when no lower cover y of x has a v y = a v x.  Every fiber has a
+  minimal element, and only one exactly when it has a least element.  So
+  the law holds at a exactly when the |up(a)| fibers have |up(a)| minimal
+  elements in all, that is, when the elements with such a lower cover
+  number n - |up(a)|.  The meet law is the same test on meets, with the
+  covers reversed and down(a).
 
 Only when a fast test fails does the triple scan run, to name the same
 first violation as the scan over every triple would.  The brute-force
 deciders these tests replace are kept in tests/test_properties.py as
-reference_is_distributive and reference_left_modular_elements, and the
-tests hold the fast paths to them.
+reference_is_distributive, reference_left_modular_elements and
+reference_semidistributive, and the tests hold the fast paths to them.
 """
 
 from dataclasses import dataclass
@@ -80,26 +93,41 @@ def is_distributive(L):
     )
 
 
-def _semidistributive(kind, x, y):
+def _semidistributive(kind, x, y, far, near, starts, outside):
     """(flag, violation) for a x b = a x c forcing a x b = a x (b y c): the
     join semidistributive law for (x, y) = (join, meet), the meet one for
-    (meet, join).  The violation is the first failing triple."""
+    (meet, join).  The violation is the first failing triple.
+
+    Decided by the fiber test of the module docstring for each a in turn;
+    (far, near, starts, outside) are from _fiber_covers.  Only the first a
+    that fails is scanned for its triple."""
     for a in range(len(x)):
         row = x[a]
-        bad = (row[:, None] == row[None, :]) & (row[y] != row[:, None])
-        if bad.any():
+        # the far ends with a cover toward near inside their own fiber
+        inner = np.logical_or.reduceat(row[near] == row[far], starts)
+        if np.count_nonzero(inner) != outside[a]:
+            bad = (row[:, None] == row[None, :]) & (row[y] != row[:, None])
+            if not bad.any():
+                raise InvariantViolation(
+                    f"{a} fails the fiber test of the {kind} law "
+                    "but no triple violates it"
+                )
             return False, _violation(kind, a, bad)
     return True, None
 
 
 def is_join_semidistributive(L):
     "a v b = a v c must force a v b = a v (b ^ c); first violating triple otherwise."
-    return _semidistributive("join_semidistributive", L.join, L.meet)
+    return _semidistributive(
+        "join_semidistributive", L.join, L.meet, *_fiber_covers(L, up=True)
+    )
 
 
 def is_meet_semidistributive(L):
     "The dual condition: a ^ b = a ^ c must force a ^ b = a ^ (b v c)."
-    return _semidistributive("meet_semidistributive", L.meet, L.join)
+    return _semidistributive(
+        "meet_semidistributive", L.meet, L.join, *_fiber_covers(L, up=False)
+    )
 
 
 def is_semidistributive(L):
@@ -110,9 +138,35 @@ def is_semidistributive(L):
 
 
 def _cover_arrays(L):
-    "(lower, upper): the covers of L as two index arrays."
-    lower, upper = np.array(L.covers, dtype=np.intp).reshape(-1, 2).T
-    return lower, upper
+    """(lower, upper): the covers of L as two index arrays; built once per
+    poset and kept on it (a poset never changes)."""
+    memo = L.poset.__dict__
+    if "_cover_arrays" not in memo:
+        lower, upper = np.array(L.covers, dtype=np.intp).reshape(-1, 2).T
+        memo["_cover_arrays"] = lower, upper
+    return memo["_cover_arrays"]
+
+
+def _fiber_covers(L, up):
+    """(far, near, starts, outside) for the fiber test of the join law when
+    up, of the meet law otherwise.  far and near are the covers of L as
+    index arrays grouped by far: their upper ends when up and their lower
+    ends otherwise.  Each group begins at one of starts, and outside[a]
+    counts the elements outside the up-set (down-set) of a.  Built once per
+    poset and kept on it as one array, which costs the least memory."""
+    key = "_fiber_covers_up" if up else "_fiber_covers_down"
+    memo = L.poset.__dict__
+    if key not in memo:
+        pairs = sorted((b, a) for a, b in L.covers) if up else L.covers
+        memo[key] = np.array(
+            [v for v, _ in pairs]
+            + [w for _, w in pairs]
+            + [i for i, (v, _) in enumerate(pairs) if not i or pairs[i - 1][0] != v]
+            + (L.n - L.leq.sum(axis=1 if up else 0)).tolist(),
+            dtype=np.intp,
+        )
+    packed, m = memo[key], len(L.covers)
+    return packed[:m], packed[m:2 * m], packed[2 * m:-L.n], packed[-L.n:]
 
 
 def _left_modular_at(L, a, lower, upper):

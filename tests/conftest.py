@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from latticelab import zoo
 from latticelab.errors import CapExceededError
 from latticelab.lattice import dual, ideal_lattice, try_lattice
-from latticelab.poset import transitive_reduce
+from latticelab.poset import poset_from_covers, transitive_reduce
 
 
 def partition_lattice(k):
@@ -24,9 +25,9 @@ def partition_lattice(k):
     return try_lattice(transitive_reduce(len(parts), pairs))
 
 
-def random_ideal_lattices(seed, count, k=10, cap=300):
-    """Ideal lattices of seeded random k-element posets, the first count
-    of them with at most cap elements."""
+def random_ideal_posets(seed, count, k=10, cap=300):
+    """Seeded random k-element posets, the first count of them whose ideal
+    lattices have at most cap elements."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -34,21 +35,50 @@ def random_ideal_lattices(seed, count, k=10, cap=300):
         pairs = [
             (a, b) for a in range(k) for b in range(a + 1, k) if rng.random() < density
         ]
+        poset = transitive_reduce(k, pairs)
         try:
-            out.append(ideal_lattice(transitive_reduce(k, pairs), cap)[0])
+            ideal_lattice(poset, cap)
         except CapExceededError:
             continue
+        out.append(poset)
     return out
+
+
+def weak_order(k):
+    """The weak order on the permutations of k letters: w is covered by the
+    swaps of its adjacent ascents.  Semidistributive, not distributive for
+    k >= 3."""
+    perms = sorted(itertools.permutations(range(k)))
+    index = {w: i for i, w in enumerate(perms)}
+    covers = [
+        (index[w], index[w[:i] + (w[i + 1], w[i]) + w[i + 2:]])
+        for w in perms
+        for i in range(k - 1)
+        if w[i] < w[i + 1]
+    ]
+    return try_lattice(poset_from_covers(len(perms), covers))
+
+
+def m3_on_chain(k):
+    """M3 stacked on the chain 0 < ... < k: atoms k+1..k+3 cover k, and
+    k+4 covers them.  Only the atoms violate either semidistributive law."""
+    covers = [(i, i + 1) for i in range(k)]
+    covers += [(k, a) for a in range(k + 1, k + 4)]
+    covers += [(a, k + 4) for a in range(k + 1, k + 4)]
+    return try_lattice(poset_from_covers(k + 5, covers))
 
 
 @pytest.fixture(scope="session")
 def large_lattices():
     """Name -> lattice for families of 15-250 elements and their duals:
-    chains, B5-B7, the partition lattices of 4-6 points and ideal lattices
-    of random 10-element posets."""
+    chains, B5-B7, the partition lattices of 4-6 points, the weak order of
+    S5, M3 on a 100-element chain and ideal lattices of random 10-element
+    posets."""
     named = {f"chain{k}": zoo.chain(k) for k in (99, 149, 199)}
     named |= {f"boolean{k}": zoo.boolean(k) for k in (5, 6, 7)}
     named |= {f"partitions{k}": partition_lattice(k) for k in (4, 5, 6)}
-    for i, L in enumerate(random_ideal_lattices(7, 8)):
-        named[f"ideals{i}"] = L
+    named["weak5"] = weak_order(5)
+    named["m3_on_chain99"] = m3_on_chain(99)
+    for i, p in enumerate(random_ideal_posets(7, 8)):
+        named[f"ideals{i}"] = ideal_lattice(p)[0]
     return named | {f"dual_{name}": dual(L) for name, L in named.items()}

@@ -18,6 +18,8 @@ from latticelab.errors import (
 from latticelab.lattice import dual, ideal_lattice, interval, try_lattice
 from latticelab.poset import is_isomorphic, poset_from_covers, transitive_reduce
 
+from conftest import random_ideal_posets
+
 
 def reference_try_lattice(p):
     """try_lattice as the library computed it before: per-pair numpy ANDs
@@ -58,6 +60,41 @@ def reference_try_lattice(p):
                 raise NoUniqueMeet(a, b, maximal(bounds))
             meet[a, b] = meet[b, a] = m
     return join, meet, bots[0], tops[0]
+
+
+def reference_ideal_lattice(p):
+    """ideal_lattice as the library computed it before: tables filled pair
+    by pair from the unions and intersections of the ideals' bitmasks."""
+    n = p.n
+    seen = {0}
+    frontier = [0]
+    steps = []
+    while frontier:
+        mask = frontier.pop()
+        for x in range(n):
+            if mask >> x & 1 or any(not mask >> y & 1 for y in p.lower_covers[x]):
+                continue
+            new = mask | (1 << x)
+            steps.append((mask, new))
+            if new not in seen:
+                seen.add(new)
+                frontier.append(new)
+    masks = sorted(seen, key=lambda m: (bin(m).count("1"), m))
+    index = {m: i for i, m in enumerate(masks)}
+    size = len(masks)
+    leq = np.zeros((size, size), dtype=bool)
+    join = np.zeros((size, size), dtype=np.int32)
+    meet = np.zeros((size, size), dtype=np.int32)
+    for i, mi in enumerate(masks):
+        for j, mj in enumerate(masks):
+            leq[i, j] = mi & mj == mi
+            join[i, j] = index[mi | mj]
+            meet[i, j] = index[mi & mj]
+    covers = tuple(sorted((index[lo], index[hi]) for lo, hi in steps))
+    ideals = tuple(
+        frozenset(x for x in range(n) if m >> x & 1) for m in masks
+    )
+    return covers, leq, join, meet, ideals
 
 
 def outcome(build, p):
@@ -294,3 +331,16 @@ def test_ideal_lattice_covers_are_the_one_element_steps():
             if lo < hi and len(hi - lo) == 1
         )
         assert L.covers == scan
+
+
+def test_ideal_lattice_matches_reference():
+    for p in random_ideal_posets(7, 8) + [zoo.antichain(k) for k in range(9)]:
+        L, ideals = ideal_lattice(p)
+        covers, leq, join, meet, ref_ideals = reference_ideal_lattice(p)
+        assert L.covers == covers, p
+        assert L.join.dtype == L.meet.dtype == np.int32
+        assert np.array_equal(L.leq, leq), p
+        assert np.array_equal(L.join, join), p
+        assert np.array_equal(L.meet, meet), p
+        assert ideals == ref_ideals, p
+        assert (L.bot, L.top) == (0, L.n - 1)

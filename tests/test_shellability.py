@@ -79,7 +79,7 @@ def test_lm_labeling_matches_reference_up_to_8_and_on_large_families(
         if chain is not None:
             assert lm_labeling(L, chain) == reference_lm_labeling(L, chain), L
             labeled += 1
-    assert labeled == 540
+    assert labeled == 542
 
 
 def test_lm_labeling_rejects_bad_chains():
