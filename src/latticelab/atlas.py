@@ -16,11 +16,12 @@ from .classify import ClassificationRecord, classify
 from .errors import AtlasParseError, BoundExceededError, InvariantViolation
 from .lattice import try_lattice
 from .poset import (
-    _minimal_of,
+    _int_rows,
     canonical_form,
     canonicalize,
     poset_from_canonical,
     poset_from_covers,
+    transitive_reduce,
 )
 from .shellability import DEFAULT_EL_BUDGET
 
@@ -47,31 +48,25 @@ def _down_set_extensions(p):
     it is the down-set of that member.
     """
     n = p.n
-    principal = [
-        sum(1 << x for x in range(n) if p.leq[x, a]) for a in range(n)
-    ]
+    principal = _int_rows(p.leq.T)
     principal_set = set(principal)
     return [
         frozenset(x for x in range(n) if mask >> x & 1)
-        for mask in range(1, 1 << n)
+        for mask in range(1 << n)
         if all(mask & down in principal_set for down in principal)
     ]
 
 
 def _extend_with_maximal(p, members):
     "p plus one new maximal element whose strict down-set is `members`."
-    maximal = _minimal_of(p.leq.T, members)
-    covers = list(p.covers) + [(x, p.n) for x in sorted(maximal)]
-    return poset_from_covers(p.n + 1, covers)
+    return transitive_reduce(p.n + 1, [*p.covers, *((x, p.n) for x in members)])
 
 
 @lru_cache(maxsize=None)
 def _meet_closed_posets(k):
     "All k-element meet-closed posets up to isomorphism, canonically labeled."
-    if k < 1:
-        return ()
-    if k == 1:
-        return (poset_from_covers(1, []),)
+    if k == 0:
+        return (transitive_reduce(0, []),)
     found = {}
     for p in _meet_closed_posets(k - 1):
         for members in _down_set_extensions(p):
@@ -89,8 +84,6 @@ def enumerate_lattices(n):
         raise BoundExceededError(
             f"enumeration supports n <= {PRACTICAL_MAX_N}, got {n}"
         )
-    if n == 1:
-        return [try_lattice(poset_from_covers(1, []))]
     out = []
     for p in _meet_closed_posets(n - 1):
         poset = canonicalize(_extend_with_maximal(p, range(p.n)))

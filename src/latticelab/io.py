@@ -3,13 +3,21 @@
 Grammar: first significant line is the element count, then one "a b"
 cover pair per line (0-indexed, lower element first).  '#' starts a
 comment, blank lines are skipped.  The JSON equivalent is
-{"n": int, "covers": [[a, b], ...]}.  Both spellings are accepted by the
-same parser; writers emit covers sorted by (a, b).
+{"n": int, "covers": [[a, b], ...]}, every number a JSON integer.  Both
+spellings are accepted by the same parser; writers emit covers sorted by
+(a, b).
 """
 
 import json
 
 from .errors import FormatError
+
+
+def _json_int(value):
+    "value if it is a JSON integer; TypeError for a float, bool or string."
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
 
 
 def parse_covers(text):
@@ -18,11 +26,11 @@ def parse_covers(text):
     if stripped.startswith("{"):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise FormatError(f"bad JSON: {exc}") from exc
         try:
-            n = int(obj["n"])
-            pairs = [(int(a), int(b)) for a, b in obj["covers"]]
+            n = _json_int(obj["n"])
+            pairs = [(_json_int(a), _json_int(b)) for a, b in obj["covers"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad JSON lattice object: {exc!r}") from exc
         if n < 0:

@@ -26,6 +26,7 @@ from .errors import (
 from .poset import (
     MAX_ELEMENTS,
     FinitePoset,
+    _int_rows,
     _minimal_of,
     _seed_canonical,
     canonical_relabeling,
@@ -128,8 +129,7 @@ def _least_bounds(leq, order):
     Up-sets are ints whose bit i stands for order[i], a linear extension.
     """
     n = len(order)
-    bits = np.packbits(leq[:, order], axis=1, bitorder="little")
-    up = [int.from_bytes(row.tobytes(), "little") for row in bits]
+    up = _int_rows(leq[:, order])
     table = np.empty((n, n), dtype=np.int32)
     for a in range(n):
         up_a = up[a]
@@ -236,13 +236,13 @@ def ideal_lattice(p, cap=DEFAULT_IDEAL_CAP):
     so enumeration aborts with CapExceededError beyond ``cap``.
     """
     n = p.n
-    seen = {0}
-    frontier = [0]
+    down = _int_rows(p.leq.T)
+    seen, frontier = {0}, [0]
     steps = []  # (mask, mask | {x}): every cover of the result, once
     while frontier:
         mask = frontier.pop()
         for x in range(n):
-            if mask >> x & 1 or any(not mask >> y & 1 for y in p.lower_covers[x]):
+            if down[x] & ~mask != 1 << x:  # x is in mask or not addable
                 continue
             new = mask | (1 << x)
             steps.append((mask, new))

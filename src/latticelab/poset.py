@@ -3,9 +3,13 @@
 The order is stored twice: as the transitively reduced cover set (the Hasse
 diagram) and as a dense boolean reachability matrix ``leq``.  Both are
 immutable after construction; instances are safe to share between threads.
+They are built in one sweep: the cycle search yields every up-set as an int
+bitset, ``leq`` is unpacked from them, and a pair (a, b) is a cover exactly
+when b is not strictly above another successor of a.
 """
 
 from functools import cached_property
+from operator import index
 
 import numpy as np
 
@@ -30,26 +34,19 @@ def _check_size(n):
         )
 
 
-def _closure_from_covers(n, covers):
-    "Reflexive-transitive closure of a cover digraph as a bool matrix."
-    leq = np.eye(n, dtype=bool)
-    for a, b in covers:
-        leq[a, b] = True
-    for k in range(n):
-        leq |= np.outer(leq[:, k], leq[k, :])
-    return leq
-
-
 def _find_cycle(n, pairs):
-    """Return a cyclic path if the digraph of pairs has one, else None.
+    """(cycle, up): a cyclic path of the digraph of pairs and None if it
+    has one, else None and each element's up-set as an int, bit x for x.
 
     Depth-first search with an explicit stack, so long chains cannot hit
-    the interpreter's recursion limit.
+    the interpreter's recursion limit.  When the walk leaves v, up[v] is
+    bit v joined with the up-sets of v's successors, all complete by then.
     """
     succ = [[] for _ in range(n)]
     for a, b in pairs:
         succ[a].append(b)
     state = [0] * n  # 0 unseen, 1 on the path, 2 done
+    up = [1 << v for v in range(n)]
     for root in range(n):
         if state[root]:
             continue
@@ -59,7 +56,7 @@ def _find_cycle(n, pairs):
         while todo:
             for w in todo[-1]:
                 if state[w] == 1:
-                    return path[path.index(w):] + [w]
+                    return path[path.index(w):] + [w], None
                 if state[w] == 0:
                     state[w] = 1
                     path.append(w)
@@ -67,8 +64,11 @@ def _find_cycle(n, pairs):
                     break
             else:
                 todo.pop()
-                state[path.pop()] = 2
-    return None
+                v = path.pop()
+                state[v] = 2
+                for w in succ[v]:
+                    up[v] |= up[w]
+    return None, up
 
 
 def _check_pairs(n, pairs):
@@ -160,15 +160,33 @@ class FinitePoset:
         return FinitePoset(self.n, covers, self.leq[np.ix_(inverse, inverse)])
 
 
-def _hasse(leq):
-    "The cover matrix of the order leq: a < b with nothing strictly between."
-    lt = leq & ~np.eye(len(leq), dtype=bool)
-    return lt & ~np.matmul(lt, lt)
-
-
 def _minimal_of(leq, members):
     "Members with no other member strictly below them (maximal: pass leq.T)."
     return [x for x in members if not any(leq[y, x] and y != x for y in members)]
+
+
+def _int_rows(matrix):
+    "Each row of a bool matrix as an int, bit x standing for column x."
+    bits = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in bits]
+
+
+def _order(n, pair_set):
+    """(leq, implied): the order the pairs generate, and the pairs (a, b)
+    with b strictly above another successor of a, that is, those that are
+    not covers (Aho, Garey and Ullman, SIAM J. Comput. 1, 1972).
+    """
+    cycle, up = _find_cycle(n, pair_set)
+    if cycle:
+        raise CycleError(cycle)
+    bit = [1 << v for v in range(n)]
+    above = [0] * n  # above[a]: what lies strictly above a successor of a
+    for a, c in pair_set:
+        above[a] |= up[c] ^ bit[c]
+    width = (n + 7) // 8
+    rows = np.frombuffer(b"".join(u.to_bytes(width, "little") for u in up), np.uint8)
+    leq = np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little")
+    return leq.view(bool), [(a, b) for a, b in pair_set if above[a] & bit[b]]
 
 
 def poset_from_covers(n, pairs):
@@ -179,17 +197,11 @@ def poset_from_covers(n, pairs):
     """
     _check_size(n)
     pair_set = _check_pairs(n, pairs)
-    cycle = _find_cycle(n, pair_set)
-    if cycle:
-        raise CycleError(cycle)
-    leq = _closure_from_covers(n, pair_set)
-    hasse = _hasse(leq)
-    for a, b in sorted(pair_set):
-        if not hasse[a, b]:
-            mid = next(
-                c for c in range(n) if a != c != b and leq[a, c] and leq[c, b]
-            )
-            raise NotReducedError((a, b), (a, mid, b))
+    leq, implied = _order(n, pair_set)
+    if implied:
+        a, b = bad = min(implied)
+        mid = next(c for c in range(n) if a != c != b and leq[a, c] and leq[c, b])
+        raise NotReducedError(bad, (a, mid, b))
     return FinitePoset(n, pair_set, leq)
 
 
@@ -200,17 +212,12 @@ def transitive_reduce(n, pairs):
     is the transitive reduction of the input's transitive closure.
     """
     _check_size(n)
-    pair_set = {(a, b) for a, b in pairs}
-    for pair in pair_set:
-        a, b = pair
+    pair_set = {(index(a), index(b)) for a, b in pairs}
+    for a, b in pair_set:
         if not (0 <= a < n and 0 <= b < n) or a == b:
-            raise InvalidCoverError(f"pair {pair!r} invalid for n={n}")
-    cycle = _find_cycle(n, pair_set)
-    if cycle:
-        raise CycleError(cycle)
-    leq = _closure_from_covers(n, pair_set)
-    pairs = [(int(a), int(b)) for a, b in zip(*np.nonzero(_hasse(leq)))]
-    return FinitePoset(n, pairs, leq)
+            raise InvalidCoverError(f"pair {(a, b)!r} invalid for n={n}")
+    leq, implied = _order(n, pair_set)
+    return FinitePoset(n, pair_set.difference(implied), leq)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import settings
 
 from latticelab import zoo
 from latticelab.errors import CapExceededError
 from latticelab.lattice import dual, ideal_lattice, try_lattice
 from latticelab.poset import poset_from_covers, transitive_reduce
+
+# Every property-based test draws the same examples on every run, without a
+# per-example time limit and without an example database on disk.
+settings.register_profile("latticelab", derandomize=True, deadline=None, database=None)
+settings.load_profile("latticelab")
 
 
 def partition_lattice(k):

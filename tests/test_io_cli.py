@@ -3,11 +3,14 @@ import json
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from latticelab import zoo
 from latticelab.cli import main
-from latticelab.errors import FormatError
+from latticelab.errors import FormatError, LatticeError
 from latticelab.io import covers_as_json, format_covers, parse_covers, to_dot
+from latticelab.lattice import try_lattice
+from latticelab.poset import poset_from_covers
 
 HEXAGON_LAT = "6\n0 1\n0 2\n1 3\n2 4\n3 5\n4 5\n"
 
@@ -43,6 +46,74 @@ def test_parse_rejects_negative_counts():
         parse_covers("# no elements\n-3\n")
     with pytest.raises(FormatError, match="negative"):
         parse_covers('{"n": -3, "covers": []}')
+
+
+NON_INTEGER_JSON = (
+    '{"n": 1e400, "covers": []}',
+    '{"n": 2, "covers": [[0, 1e400]]}',
+    '{"n": 2.5, "covers": []}',
+    '{"n": 2, "covers": [[0.9, 1.2]]}',
+    '{"n": true, "covers": []}',
+    '{"n": 2, "covers": [[false, true]]}',
+    '{"n": "2", "covers": []}',
+    '{"n": 2, "covers": [["0", 1]]}',
+)
+
+
+@pytest.mark.parametrize("text", NON_INTEGER_JSON)
+def test_parse_json_accepts_only_integers(text):
+    with pytest.raises(FormatError, match="is not an integer"):
+        parse_covers(text)
+
+
+def test_parse_json_too_deep_is_a_format_error():
+    with pytest.raises(FormatError, match="bad JSON"):
+        parse_covers('{"n": ' + "[" * 100_000 + "]" * 100_000 + "}")
+
+
+LAT_ALPHABET = "0123456789 -+_#\n\tx"
+JSON_ALPHABET = '{}[]":, 0123456789.eE+-ncoversutfal'
+POINT = st.integers(-1, 8)
+# Integers, or in their place a float (inf and nan among them), a bool, a
+# string or null.
+JSON_NUMBER = st.one_of(POINT, st.floats(), st.booleans(), st.text(max_size=2), st.none())
+
+
+def _lat_texts(n):
+    """.lat texts on n elements whose pairs are mostly a < b, so that many
+    reach the order checks; else a reversed pair, a self-loop or an end out
+    of range."""
+    upward = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    odd = [(b, a) for a, b in upward] + [(a, a) for a in range(n)] + [(-1, 0), (0, n)]
+    pairs = st.lists(st.sampled_from(upward * 8 + odd), max_size=12, unique=True)
+    return pairs.map(lambda ps: "\n".join([str(n)] + [f"{a} {b}" for a, b in ps]))
+
+
+INGESTION_TEXT = st.one_of(
+    st.text(LAT_ALPHABET),
+    st.text(JSON_ALPHABET).map(lambda t: "{" + t),
+    st.integers(2, 8).flatmap(_lat_texts),
+    st.fixed_dictionaries(
+        {
+            "n": JSON_NUMBER,
+            "covers": st.lists(
+                st.one_of(st.tuples(JSON_NUMBER, JSON_NUMBER), st.lists(JSON_NUMBER)),
+                max_size=12,
+            ),
+        }
+    ).map(json.dumps),
+)
+
+
+@settings(max_examples=1000)
+@example('{"n": 1e400, "covers": []}')
+@given(INGESTION_TEXT)
+def test_ingestion_raises_only_lattice_errors(text):
+    try:
+        n, pairs = parse_covers(text)
+        try_lattice(poset_from_covers(n, pairs))
+    except LatticeError:
+        pass
 
 
 def test_format_roundtrip():
@@ -216,6 +287,15 @@ def test_cli_negative_count_is_a_usage_error(tmp_path, capsys):
         assert main(["check", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "negative element count" in err
+
+
+def test_cli_json_overflow_is_a_usage_error(tmp_path, capsys):
+    for text in NON_INTEGER_JSON[:2]:
+        path = tmp_path / "overflow.json"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "inf is not an integer" in err
 
 
 def test_cli_huge_count_is_rejected_before_allocating(tmp_path, capsys):

@@ -1,19 +1,26 @@
+import collections
 import random
+import time
 
 import numpy as np
 import pytest
 
 from latticelab import zoo
+from latticelab.atlas import enumerate_lattices
 from latticelab.errors import (
     BoundExceededError,
     CycleError,
     DuplicatePairError,
     InvalidCoverError,
+    LatticeError,
     NotReducedError,
 )
 from latticelab.lattice import DEFAULT_IDEAL_CAP
 from latticelab.poset import (
     MAX_ELEMENTS,
+    FinitePoset,
+    _check_pairs,
+    _check_size,
     _find_cycle,
     canonical_form,
     canonical_relabeling,
@@ -56,9 +63,11 @@ def test_rejects_cycle():
 
 def test_find_cycle_walks_long_paths_without_recursion():
     n = 5000
-    assert _find_cycle(n, [(i, i + 1) for i in range(n - 1)]) is None
+    cycle, up = _find_cycle(n, [(i, i + 1) for i in range(n - 1)])
+    assert cycle is None and up[0] == (1 << n) - 1 and up[n - 1] == 1 << (n - 1)
     # A back edge reached from a branch: the cycle starts where it closes.
-    assert _find_cycle(5, [(0, 1), (1, 2), (2, 3), (3, 1), (0, 4)]) == [1, 2, 3, 1]
+    cycle, up = _find_cycle(5, [(0, 1), (1, 2), (2, 3), (3, 1), (0, 4)])
+    assert cycle == [1, 2, 3, 1] and up is None
     n = 3000
     with pytest.raises(CycleError) as err:
         poset_from_covers(n, [(i, (i + 1) % n) for i in range(n)])
@@ -181,3 +190,170 @@ def test_element_count_is_bounded_before_allocation():
         with pytest.raises(BoundExceededError, match=f"element count {n}"):
             transitive_reduce(n, [(0, 1)])
     assert poset_from_covers(0, []).n == 0
+
+
+# ---------------------------------------------------------------------------
+# Oracles: ingestion by a dense closure and a matrix-product cover check
+# ---------------------------------------------------------------------------
+
+
+def reference_find_cycle(n, pairs):
+    "A cyclic path of the digraph of pairs, or None; the same walk order."
+    succ = [[] for _ in range(n)]
+    for a, b in pairs:
+        succ[a].append(b)
+    state = [0] * n  # 0 unseen, 1 on the path, 2 done
+    for root in range(n):
+        if state[root]:
+            continue
+        state[root] = 1
+        path = [root]
+        todo = [iter(succ[root])]
+        while todo:
+            for w in todo[-1]:
+                if state[w] == 1:
+                    return path[path.index(w):] + [w]
+                if state[w] == 0:
+                    state[w] = 1
+                    path.append(w)
+                    todo.append(iter(succ[w]))
+                    break
+            else:
+                todo.pop()
+                state[path.pop()] = 2
+    return None
+
+
+def reference_order(n, pair_set):
+    """(leq, hasse): the closure by n outer products and the cover matrix
+    as the strict order minus its square."""
+    cycle = reference_find_cycle(n, pair_set)
+    if cycle:
+        raise CycleError(cycle)
+    leq = np.eye(n, dtype=bool)
+    for a, b in pair_set:
+        leq[a, b] = True
+    for k in range(n):
+        leq |= np.outer(leq[:, k], leq[k, :])
+    lt = leq & ~np.eye(n, dtype=bool)
+    return leq, lt & ~np.matmul(lt, lt)
+
+
+def reference_poset_from_covers(n, pairs):
+    _check_size(n)
+    pair_set = _check_pairs(n, pairs)
+    leq, hasse = reference_order(n, pair_set)
+    for a, b in sorted(pair_set):
+        if not hasse[a, b]:
+            mid = next(
+                c for c in range(n) if a != c != b and leq[a, c] and leq[c, b]
+            )
+            raise NotReducedError((a, b), (a, mid, b))
+    return FinitePoset(n, pair_set, leq)
+
+
+def reference_transitive_reduce(n, pairs):
+    _check_size(n)
+    pair_set = {(a, b) for a, b in pairs}
+    for pair in pair_set:
+        a, b = pair
+        if not (0 <= a < n and 0 <= b < n) or a == b:
+            raise InvalidCoverError(f"pair {pair!r} invalid for n={n}")
+    leq, hasse = reference_order(n, pair_set)
+    pairs = [(int(a), int(b)) for a, b in zip(*np.nonzero(hasse))]
+    return FinitePoset(n, pairs, leq)
+
+
+def outcome(build, n, pairs):
+    "(covers, leq bytes) of the poset built, or the error's type and message."
+    try:
+        p = build(n, pairs)
+    except LatticeError as exc:
+        return type(exc), str(exc)
+    assert p.leq.shape == (n, n) and p.leq.dtype == bool
+    return p.covers, p.leq.tobytes()
+
+
+def assert_matches_references(n, pairs):
+    "Both ingestion paths agree with their oracles; the strict outcome."
+    assert outcome(transitive_reduce, n, pairs) == outcome(
+        reference_transitive_reduce, n, pairs
+    )
+    strict = outcome(poset_from_covers, n, pairs)
+    assert strict == outcome(reference_poset_from_covers, n, pairs)
+    return strict[0] if isinstance(strict[0], type) else None
+
+
+def random_pair_list(rng):
+    """Pairs on n <= 9 elements, mostly a < b, with an occasional reversed
+    pair, duplicate, self-loop or end out of range."""
+    n = rng.randint(0, 9)
+    pairs = []
+    for _ in range(rng.randint(0, 2 * n)):
+        r = rng.random()
+        if n < 2 or r < 0.01:
+            pairs.append((rng.randint(-1, n), rng.randint(-1, n)))
+        elif r < 0.015 and pairs:
+            pairs.append(rng.choice(pairs))
+        else:
+            a, b = sorted(rng.sample(range(n), 2))
+            pair = (b, a) if r < 0.06 else (a, b)
+            if pair not in pairs:
+                pairs.append(pair)
+    return n, pairs
+
+
+def test_ingestion_matches_references_on_small_lattices():
+    for n in range(1, 9):
+        for L in enumerate_lattices(n):
+            covers = list(L.covers)
+            assert outcome(poset_from_covers, n, covers) == outcome(
+                reference_poset_from_covers, n, covers
+            )
+            order = [tuple(ab) for ab in np.argwhere(L.leq).tolist() if ab[0] != ab[1]]
+            assert outcome(transitive_reduce, n, order) == outcome(
+                reference_transitive_reduce, n, order
+            ) == (L.covers, L.leq.tobytes())
+
+
+def test_ingestion_matches_references_on_seeded_pair_lists():
+    rng = random.Random(20261018)
+    seen = collections.Counter(
+        assert_matches_references(*random_pair_list(rng)) for _ in range(6000)
+    )
+    assert set(seen) == {
+        None,
+        NotReducedError,
+        CycleError,
+        DuplicatePairError,
+        InvalidCoverError,
+    }
+    assert min(seen.values()) >= 50, seen
+
+
+def test_ingestion_takes_numpy_integers():
+    L = zoo.boolean(7)  # ends past bit 63 of a machine word
+    order = list(zip(*np.nonzero(L.leq & ~np.eye(L.n, dtype=bool))))
+    p = transitive_reduce(L.n, order)
+    assert p.covers == L.covers and np.array_equal(p.leq, L.leq)
+    assert {type(x) for pair in p.covers for x in pair} == {int}
+    covers = [tuple(np.array(pair)) for pair in L.covers]
+    assert np.array_equal(poset_from_covers(L.n, covers).leq, L.leq)
+    with pytest.raises(NotReducedError) as err:
+        poset_from_covers(L.n, covers + [(np.int64(0), np.int64(127))])
+    assert err.value.pair == (0, 127) and err.value.path == (0, 1, 127)
+
+
+def test_ingestion_scales_to_the_element_cap():
+    B12 = zoo.boolean(12)
+    start = time.perf_counter()
+    p = poset_from_covers(B12.n, B12.covers)
+    assert time.perf_counter() - start < 2.0
+    assert p.covers == B12.covers and np.array_equal(p.leq, B12.leq)
+    B11 = zoo.boolean(11)
+    order = [(a, b) for a, b in np.argwhere(B11.leq).tolist() if a != b]
+    assert len(order) == 3**11 - 2**11
+    start = time.perf_counter()
+    p = transitive_reduce(B11.n, order)
+    assert time.perf_counter() - start < 3.0
+    assert p.covers == B11.covers and np.array_equal(p.leq, B11.leq)

@@ -395,7 +395,7 @@ def test_record_json_roundtrip():
 LAW_LATTICES = [L for n in range(1, 8) for L in enumerate_lattices(n)]
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200)
 @given(st.data())
 def test_distributivity_and_left_modularity_laws(data):
     L = data.draw(st.sampled_from(LAW_LATTICES))
@@ -433,7 +433,7 @@ def test_family_lattices_reach_past_distributive_ones():
     assert not is_distributive(L)[0] and not is_semidistributive(L)[0]
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200)
 @given(st.data())
 def test_semidistributive_and_irreducible_laws_on_intersection_families(data):
     k = data.draw(st.integers(1, 6))

@@ -256,7 +256,7 @@ def test_verifier_matches_oracle_on_certificates(small_lattices):
 def test_verifier_matches_oracle_on_drawn_labelings(small_lattices):
     reasons = set()
 
-    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=400)
     @given(st.data())
     def check(data):
         L = data.draw(st.sampled_from(small_lattices))
