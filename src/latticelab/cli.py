@@ -145,6 +145,8 @@ def cmd_label(args):
 def cmd_el(args):
     L = _load_lattice(args.file)
     result = el_search(L, budget=args.el_budget)
+    if args.stats:
+        print(json.dumps(result.stats, sort_keys=True), file=sys.stderr)
     print(f"status: {result.status}")
     print(f"nodes: {result.nodes}")
     if result.labeling is not None:
@@ -205,6 +207,17 @@ def cmd_hunt(args):
     return EXIT_OK
 
 
+def _el_budget(text):
+    "A node budget: a nonnegative integer."
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {budget}")
+    return budget
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="latticelab",
@@ -220,7 +233,7 @@ def build_parser():
     p = add("check", cmd_check, "classify a lattice file")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--el-budget", type=int, default=DEFAULT_EL_BUDGET)
+    p.add_argument("--el-budget", type=_el_budget, default=DEFAULT_EL_BUDGET)
     p.add_argument("--dot", metavar="PATH")
 
     p = add("witness", cmd_witness, "perspectivity witness for a cover, both ways")
@@ -234,8 +247,13 @@ def build_parser():
 
     p = add("el", cmd_el, "exact EL-shellability search")
     p.add_argument("file")
-    p.add_argument("--el-budget", type=int, default=DEFAULT_EL_BUDGET)
+    p.add_argument("--el-budget", type=_el_budget, default=DEFAULT_EL_BUDGET)
     p.add_argument("--dot", metavar="PATH")
+    p.add_argument(
+        "--stats",
+        action="store_true",
+        help="print the search's plan size, nodes and prunes as JSON on stderr",
+    )
 
     p = add("ideals", cmd_ideals, "write the lattice of down-sets of a poset")
     p.add_argument("file")
@@ -250,7 +268,7 @@ def build_parser():
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--csv", metavar="PATH")
-    p.add_argument("--el-budget", type=int, default=DEFAULT_EL_BUDGET)
+    p.add_argument("--el-budget", type=_el_budget, default=DEFAULT_EL_BUDGET)
 
     p = add("implications", cmd_implications, "scan the implication grid over an atlas")
     p.add_argument("atlas")

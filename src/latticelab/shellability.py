@@ -15,10 +15,16 @@ it is the independent oracle the tests hold the fast verifier to.
 The exact shellability decision searches the weak orders induced on the
 cover set: labelings inducing the same weak order are interchangeable, and
 every weak order on m edges is realized by labels in 1..m, so enumerating
-weak orders (with per-interval pruning) is sound and complete.
+weak orders (with per-interval pruning) is sound and complete.  The search
+labels the edges in a fixed order and keeps the state of every chain of
+every interval in bitmasks: one bit per chain, a mask per pair of edges
+adjacent in some chain, and per depth the set of chains already broken.
+A node costs the pairs and intervals on its own edge, not a rescan of
+their chains.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -254,129 +260,236 @@ def is_el_labeling(L, labeling):
     return verdict
 
 
+PRUNE_RULES = ("no_live_chain", "two_increasing_chains", "not_lex_least")
+
+
 @dataclass(frozen=True)
 class ELSearchResult:
     status: str  # "shellable" | "not_shellable" | "unknown"
     labeling: dict | None
     nodes: int
     budget: int
+    # Telemetry, kept compact because callers hold many results:
+    # (edges, intervals, chains) of the plan, and one
+    # (plan, slice, nodes, status, prunes in PRUNE_RULES order) per pass.
+    plan_size: tuple = field(default=(0, 0, 0), compare=False, repr=False)
+    passes: tuple = field(default=(), compare=False, repr=False)
 
     def __bool__(self):
         return self.status == "shellable"
 
+    @property
+    def stats(self):
+        "The telemetry as a JSON-ready dict, with the prunes summed over passes."
+        passes = []
+        totals = dict.fromkeys(PRUNE_RULES, 0)
+        for plan, given, nodes, status, prunes in self.passes:
+            passes.append(
+                {
+                    "plan": plan,
+                    "slice": given,
+                    "nodes": nodes,
+                    "status": status,
+                    "prunes": dict(zip(PRUNE_RULES, prunes)),
+                }
+            )
+            for rule, count in zip(PRUNE_RULES, prunes):
+                totals[rule] += count
+        edges, intervals, chains = self.plan_size
+        return {
+            "plan": {"edges": edges, "intervals": intervals, "chains": chains},
+            "passes": passes,
+            "prunes": totals,
+        }
+
 
 def _search_plans(L):
-    """Two edge orders, each with the interval checks hooked onto its edges.
+    """The intervals and their chains, and a plan builder per edge order.
 
     The "down" plan labels covers from the top of the lattice downward,
     the "up" plan from the bottom upward; neither dominates, so the search
-    runs both.  The intervals and their chains are listed once for both.
-    hooks[t] holds (complete, chain_ix) for every interval with edge t:
-    each is checked whenever edge t receives a label, which catches
-    interval failures that are already unavoidable, and complete is true
-    when t is the interval's last edge, so the check is exact.
+    runs both.  The intervals and their chains are listed once, here, for
+    both plans, and each plan is compiled only when its builder is called.
+    Along a chain the down order lists edges top to bottom and the up
+    order bottom to top, so at any depth a chain's labeled edges are
+    contiguous: a non-ascending pair of labeled neighbours is what breaks
+    a chain, and nothing else can.
     """
-    interval_edges = []
+    intervals = []
     for a, b in _intervals_by_size(L):
         chains = list(_cover_paths(L, a, b))
         if len(chains) == 1 and len(chains[0]) == 2:
             continue  # single cover: nothing to constrain
-        interval_edges.append(chains)
+        intervals.append(chains)
     levels = L.levels
-    plans = []
+    builders = []
     for sign in (-1, 1):  # down, then up
         edge_order = sorted(
             L.covers, key=lambda e: (sign * levels[e[1]], sign * levels[e[0]], e)
         )
-        index = {e: i for i, e in enumerate(edge_order)}
-        hooks = [[] for _ in edge_order]
-        for chains in interval_edges:
-            chain_ix = [
-                tuple(index[(u, v)] for u, v in zip(ch, ch[1:])) for ch in chains
-            ]
-            members = sorted({e for ch in chain_ix for e in ch})
-            for e in members[:-1]:
-                hooks[e].append((False, chain_ix))
-            hooks[members[-1]].append((True, chain_ix))
-        plans.append((edge_order, hooks))
-    return plans
+        builders.append(partial(_compile_plan, edge_order, intervals))
+    return intervals, builders
 
 
-def _interval_ok(values, chain_ix, complete):
-    """Can this interval still get one increasing, lexicographically least chain?
+def _compile_plan(edge_order, intervals):
+    """Bitmask tables for one edge order; edge t is labeled at depth t.
 
-    A chain is dead once two adjacent labeled edges do not ascend: later
-    assignments never reorder existing labels.  All chains dead, or two
-    fully labeled chains alive, doom every completion.  Once the interval
-    is complete (every edge labeled), a live chain is an increasing chain,
-    so the one live chain must also be lexicographically least.
+    Chain k of the interval list (counted over all intervals) is bit k.
+    For each edge t:
+      below[t]: (u, mask) for every u < t right below t on some chain,
+        where mask holds the chains with that pair, all broken unless
+        label(u) < label(t);
+      above[t]: the same for every u < t right above t on some chain,
+        broken unless label(t) < label(u);
+      hooks[t]: (mask, full, lex) per interval with edge t, where mask is
+        its chains, full those whose edges all have index <= t, and lex
+        is (first bit, chains as edge-index tuples) when t is the
+        interval's last edge, else None.
+    tables, filled on first use, maps the bit of an interval's one live
+    chain to its lexicographic comparisons (see _lex_table).
     """
-    live = None
-    seen_full = False
-    for ch in chain_ix:
-        prev = 0
-        full = True
-        for e in ch:
-            x = values[e]
-            if not x:
-                full = False
-            elif prev >= x:
-                break
-            prev = x
+    index = {e: i for i, e in enumerate(edge_order)}
+    m = len(edge_order)
+    pair_masks = {}  # (lower edge, upper edge) in a chain -> chains with it
+    hooks = [[] for _ in range(m)]
+    bit = 0
+    for chains in intervals:
+        first = bit
+        paths = [
+            tuple(index[(u, v)] for u, v in zip(ch, ch[1:])) for ch in chains
+        ]
+        ends = {}  # last edge -> chains that end there
+        for path in paths:
+            for pair in zip(path, path[1:]):
+                pair_masks[pair] = pair_masks.get(pair, 0) | 1 << bit
+            ends[max(path)] = ends.get(max(path), 0) | 1 << bit
+            bit += 1
+        mask = (1 << bit) - (1 << first)
+        members = sorted({e for path in paths for e in path})
+        full = 0
+        for e in members:
+            full |= ends.get(e, 0)
+            lex = (first, paths) if e == members[-1] else None
+            hooks[e].append((mask, full, lex))
+    below = [[] for _ in range(m)]
+    above = [[] for _ in range(m)]
+    for (lo, hi), chain_mask in pair_masks.items():
+        if lo < hi:
+            below[hi].append((lo, chain_mask))
         else:
-            if full:
-                if seen_full:
-                    return False
-                seen_full = True
-            live = ch
-    if live is None:
-        return False
-    if not complete:
-        return True
-    first = [values[e] for e in live]
-    return all([values[e] for e in ch] >= first for ch in chain_ix)
+            above[lo].append((hi, chain_mask))
+    return edge_order, below, above, hooks, {}
 
 
-def _run_plan(plan, budget):
+def _lex_table(lex, live):
+    """Comparisons that make the live chain of a complete interval least.
+
+    For every other chain: the live chain's edge and the other chain's at
+    their first difference (two distinct cover paths from a to b differ
+    somewhere before either ends), and both tails after it, which are
+    compared only when those two edges tie.
+    """
+    first, paths = lex
+    win = paths[live.bit_length() - 1 - first]
+    table = []
+    for path in paths:
+        if path is win:
+            continue
+        i = next(i for i, (e, f) in enumerate(zip(win, path)) if e != f)
+        table.append((win[i], path[i], win[i + 1:], path[i + 1:]))
+    return table
+
+
+def _run_plan(plan, budget, prunes):
     """One complete backtracking pass; returns (status, nodes_used, labeling).
 
     frames[t] is (choice, classes, bumped) for edge t: the choice last
     tried there, the number of label classes before it, and the edges it
     moved up by one.  Choice 2g opens a new class in gap g, choice 2k - 1
     joins class k.  The node that exceeds the budget is counted.
+
+    dead[t] holds the chains broken by edges 0..t-1.  Labeled edges never
+    change their relative order, so a pair's verdict is final once both
+    its edges are labeled: each node ORs the masks of t's non-ascending
+    pairs into dead[t] to get dead[t + 1], and nothing is undone.  Every
+    interval hooked on t needs a live chain, and at most one live chain
+    whose edges are all labeled; when t completes the interval, its one
+    live chain is its increasing chain and must be lexicographically
+    least.  prunes counts the failed nodes per rule, in PRUNE_RULES order.
     """
-    edges, hooks = plan
+    edges, below, above, hooks, tables = plan
     m = len(edges)
     values = [0] * m
+    dead = [0] * (m + 1)
     nodes = 0
     frames = [(-1, 0, ())]
-    while frames:
-        t = len(frames) - 1
+    t = 0
+    while t >= 0:
         choice, classes, bumped = frames[t]
         for i in bumped:
             values[i] -= 1
-        values[t] = 0
         choice += 1
         if choice > 2 * classes:
             frames.pop()
+            t -= 1
             continue
         nodes += 1
         if nodes > budget:
             return "unknown", nodes, None
-        if choice % 2 == 0:
-            gap = choice // 2
-            bumped = [i for i in range(t) if values[i] > gap]
-            for i in bumped:
-                values[i] += 1
-            values[t] = gap + 1
-        else:
+        if choice & 1:
             bumped = ()
-            values[t] = (choice + 1) // 2
+            v = (choice + 1) >> 1
+        else:
+            v = (choice >> 1) + 1
+            if v <= classes:
+                bumped = [i for i in range(t) if values[i] >= v]
+                for i in bumped:
+                    values[i] += 1
+            else:
+                bumped = ()  # a new top class moves nothing
+        values[t] = v
         frames[t] = (choice, classes, bumped)
-        if all(_interval_ok(values, ix, complete) for complete, ix in hooks[t]):
+        d = dead[t]
+        for u, mask in below[t]:
+            if values[u] >= v:
+                d |= mask
+        for u, mask in above[t]:
+            if v >= values[u]:
+                d |= mask
+        alive = ~d
+        for mask, full, lex in hooks[t]:
+            live = mask & alive
+            if not live:
+                prunes[0] += 1
+                break
+            both = live & full
+            if both & (both - 1):
+                prunes[1] += 1
+                break
+            if lex is None:
+                continue
+            try:
+                table = tables[live]
+            except KeyError:
+                table = tables[live] = _lex_table(lex, live)
+            for e, f, tail, other in table:
+                x = values[e]
+                y = values[f]
+                if x > y or (
+                    x == y
+                    and [values[i] for i in tail] > [values[i] for i in other]
+                ):
+                    break
+            else:
+                continue
+            prunes[2] += 1
+            break
+        else:
             if t + 1 == m:
                 return "shellable", nodes, dict(zip(edges, values))
-            frames.append((-1, classes + 1 - choice % 2, ()))
+            t += 1
+            dead[t] = d
+            frames.append((-1, classes + 1 - (choice & 1), ()))
     return "not_shellable", nodes, None
 
 
@@ -389,16 +502,32 @@ def el_search(L, budget=DEFAULT_EL_BUDGET):
 
     Backtracks over the weak orders on the cover set: each new edge either
     joins an existing label class or starts a new class in any gap, which
-    realizes every weak order exactly once.  Intervals are re-verified the
-    moment they are fully labeled; relative order of already-labeled edges
+    realizes every weak order exactly once.  Every interval is checked
+    each time one of its edges is labeled, through bitmasks of its broken
+    and its fully labeled chains (see _run_plan), and verified exactly
+    once its last edge is labeled; relative order of already-labeled edges
     never changes afterwards, so those verdicts are stable.
 
     The lattice is canonicalized first, so the outcome depends only on its
-    isomorphism class, and two edge orders (bottom-up and top-down) run
+    isomorphism class, and two edge orders (top-down, then bottom-up) run
     under iteratively deepened node slices, since either can be far faster
-    on a given instance.  Nodes are counted across all passes; exceeding
-    the budget returns status "unknown".
+    on a given instance; the bottom-up plan is built only when the first
+    top-down slice runs out.  Nodes are counted across all passes;
+    exceeding the budget returns status "unknown".  The budget bounds
+    search nodes only: the canonical labeling before the search has no
+    automorphism pruning, so on lattices with large automorphism groups
+    it alone can take longer than any search (about 15 s on M_10, more
+    than two minutes on B5), whatever the budget.
+
+    A negative budget raises ValueError.  The result also carries
+    telemetry that no verdict depends on: result.plan_size and
+    result.passes, and result.stats, the same as a dict with the plan
+    size ("plan": edges, intervals, chains), one record per pass
+    ("passes": plan, slice, nodes, status, prunes per rule, counted only
+    on failing nodes) and the prunes summed over passes ("prunes").
     """
+    if budget < 0:
+        raise ValueError(f"el_search budget must be nonnegative, got {budget}")
     from .poset import canonical_relabeling
 
     perm = canonical_relabeling(L.poset)
@@ -409,21 +538,27 @@ def el_search(L, budget=DEFAULT_EL_BUDGET):
         labeling = {
             (a, b): result.labeling[(perm[a], perm[b])] for a, b in L.covers
         }
-        return ELSearchResult(result.status, labeling, result.nodes, budget)
+        return replace(result, labeling=labeling)
 
+    intervals, builders = _search_plans(L)
+    size = (len(L.covers), len(intervals), sum(map(len, intervals)))
     if not L.covers:
-        return ELSearchResult("shellable", {}, 0, budget)
-    plans = _search_plans(L)
+        return ELSearchResult("shellable", {}, 0, budget, size)
+    passes = []
+    plans = [None, None]
     spent = 0
     slice_budget = _INITIAL_SLICE
     while spent < budget:
-        for plan in plans:
+        for k, name in enumerate(("down", "up")):
             if spent >= budget:
                 break
-            status, used, labeling = _run_plan(
-                plan, min(slice_budget, budget - spent)
-            )
+            if plans[k] is None:
+                plans[k] = builders[k]()
+            given = min(slice_budget, budget - spent)
+            prunes = [0] * len(PRUNE_RULES)
+            status, used, labeling = _run_plan(plans[k], given, prunes)
             spent += used
+            passes.append((name, given, used, status, tuple(prunes)))
             if status == "unknown":
                 continue
             if status == "shellable":
@@ -433,6 +568,8 @@ def el_search(L, budget=DEFAULT_EL_BUDGET):
                         "search produced a labeling rejected by the "
                         f"verifier: {verdict}"
                     )
-            return ELSearchResult(status, labeling, spent, budget)
+            return ELSearchResult(
+                status, labeling, spent, budget, size, tuple(passes)
+            )
         slice_budget *= _SLICE_GROWTH
-    return ELSearchResult("unknown", None, spent, budget)
+    return ELSearchResult("unknown", None, spent, budget, size, tuple(passes))

@@ -224,6 +224,35 @@ def test_cli_el_budget_is_one_flag(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_cli_el_stats_go_to_stderr_alone(tmp_path, capsys):
+    path = lat_file(tmp_path, zoo.hexagon())
+    assert main(["el", path]) == 0
+    plain = capsys.readouterr()
+    assert main(["el", path, "--stats"]) == 0
+    both = capsys.readouterr()
+    assert both.out == plain.out and plain.err == ""
+    stats = json.loads(both.err)
+    assert stats["plan"] == {"chains": 6, "edges": 6, "intervals": 5}
+    assert sum(p["nodes"] for p in stats["passes"]) == 388
+    assert main(["check", path, "--json"]) == 0
+    assert "prunes" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (["el", "FILE"], ["check", "FILE", "--json"], ["atlas", "--max-n", "3"]),
+)
+def test_cli_negative_el_budget_is_a_usage_error(tmp_path, capsys, argv):
+    path = lat_file(tmp_path, zoo.hexagon())
+    argv = [path if arg == "FILE" else arg for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--el-budget", "-3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--el-budget: must be nonnegative, got -3" in captured.err
+
+
 def test_cli_ideals_pipes_into_check(tmp_path, capsys, monkeypatch):
     poset_path = tmp_path / "vee.poset"
     p = zoo.vee_plus_isolated()

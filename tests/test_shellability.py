@@ -14,11 +14,15 @@ from latticelab.errors import (
     ChainNotMaximumLength,
     PartialLabelingError,
 )
-from latticelab.irreducibles import gamma, join_irreducibles
+from latticelab.irreducibles import _cover_paths, gamma, join_irreducibles
 from latticelab.lattice import dual, ideal_lattice
 from latticelab.poset import poset_from_covers
 from latticelab.properties import left_modular_chain
 from latticelab.shellability import (
+    PRUNE_RULES,
+    _intervals_by_size,
+    _run_plan,
+    _search_plans,
     el_search,
     format_labeling,
     is_el_labeling,
@@ -169,6 +173,46 @@ def test_el_search_budget_exhaustion():
     result = el_search(zoo.hexagon(), budget=5)
     assert result.status == "unknown"
     assert result.nodes == 6
+
+
+def test_el_search_rejects_a_negative_budget():
+    with pytest.raises(ValueError, match="nonnegative"):
+        el_search(zoo.hexagon(), budget=-3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        el_search(zoo.chain(0), budget=-1)
+
+
+def test_el_search_stats_count_nodes_and_prunes_per_pass():
+    result = el_search(zoo.hexagon())
+    assert result.stats == {
+        "plan": {"edges": 6, "intervals": 5, "chains": 6},
+        "passes": [
+            {
+                "plan": "down",
+                "slice": 4096,
+                "nodes": 388,
+                "status": "not_shellable",
+                "prunes": result.stats["prunes"],
+            }
+        ],
+        "prunes": result.stats["prunes"],
+    }
+    assert result.stats["prunes"] == {
+        "no_live_chain": 278,
+        "two_increasing_chains": 63,
+        "not_lex_least": 0,
+    }
+    # The first slice ran out, so the up plan was never built or run.
+    cut = el_search(zoo.hexagon(), budget=5)
+    assert [(p["plan"], p["slice"], p["nodes"]) for p in cut.stats["passes"]] == [
+        ("down", 5, 6)
+    ]
+    # Relabeled input reports the canonical search's stats.
+    L = zoo.extremal_not_left_modular()
+    result = el_search(L)
+    assert sum(p["nodes"] for p in result.stats["passes"]) == result.nodes
+    for p in result.stats["passes"]:
+        assert sum(p["prunes"].values()) < p["nodes"]
 
 
 def test_el_search_refutation_is_stable_under_bigger_budget():
@@ -342,16 +386,164 @@ def test_verifier_matches_oracle_at_eight_elements():
 # ---------------------------------------------------------------------------
 
 
+def pinned_rows(lattices, budget=None):
+    "(n, status, nodes) of el_search per lattice, with its digest."
+    rows = []
+    for L in lattices:
+        result = el_search(L) if budget is None else el_search(L, budget)
+        rows.append((L.n, result.status, result.nodes))
+    return rows, hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
 def test_el_search_node_counts_are_pinned_up_to_seven(small_lattices):
     "Same verdicts and search trees as the recursive search, n <= 7."
-    rows = []
-    for L in small_lattices:
-        result = el_search(L)
-        rows.append((L.n, result.status, result.nodes))
+    rows, digest = pinned_rows(small_lattices)
     assert len(rows) == 78
     assert sum(nodes for _, _, nodes in rows) == 87_638
-    digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
     assert digest == "c05e48e8867ff63a"
+
+
+def test_el_search_node_counts_are_pinned_at_eight():
+    "Same verdicts and search trees as the rescanning search, n = 8."
+    rows, digest = pinned_rows(enumerate_lattices(8), budget=5000)
+    assert len(rows) == 222
+    assert sum(nodes for _, _, nodes in rows) == 248_498
+    statuses = [status for _, status, _ in rows]
+    assert [statuses.count(s) for s in ("shellable", "not_shellable", "unknown")] == [
+        184,
+        11,
+        27,
+    ]
+    assert digest == "733eacf28ff0b837"
+
+
+# The search as it was before the chain bitmasks: hooks name each
+# interval's chains as edge-index tuples, and every check rescans them.
+
+
+def reference_search_plans(L):
+    """Two edge orders, each with the interval checks hooked onto its edges.
+
+    hooks[t] holds (complete, chain_ix) for every interval with edge t;
+    complete is true when t is the interval's last edge.
+    """
+    interval_edges = []
+    for a, b in _intervals_by_size(L):
+        chains = list(_cover_paths(L, a, b))
+        if len(chains) == 1 and len(chains[0]) == 2:
+            continue
+        interval_edges.append(chains)
+    levels = L.levels
+    plans = []
+    for sign in (-1, 1):
+        edge_order = sorted(
+            L.covers, key=lambda e: (sign * levels[e[1]], sign * levels[e[0]], e)
+        )
+        index = {e: i for i, e in enumerate(edge_order)}
+        hooks = [[] for _ in edge_order]
+        for chains in interval_edges:
+            chain_ix = [
+                tuple(index[(u, v)] for u, v in zip(ch, ch[1:])) for ch in chains
+            ]
+            members = sorted({e for ch in chain_ix for e in ch})
+            for e in members[:-1]:
+                hooks[e].append((False, chain_ix))
+            hooks[members[-1]].append((True, chain_ix))
+        plans.append((edge_order, hooks))
+    return plans
+
+
+def reference_interval_ok(values, chain_ix, complete):
+    """Can this interval still get one increasing, lexicographically least chain?
+
+    A chain is dead once two labeled edges, with none labeled between
+    them, do not ascend.  All chains dead, or two fully labeled chains
+    alive, fail; once complete, the live chain must be lexicographically
+    least.
+    """
+    live = None
+    seen_full = False
+    for ch in chain_ix:
+        prev = 0
+        full = True
+        for e in ch:
+            x = values[e]
+            if not x:
+                full = False
+            elif prev >= x:
+                break
+            prev = x
+        else:
+            if full:
+                if seen_full:
+                    return False
+                seen_full = True
+            live = ch
+    if live is None:
+        return False
+    if not complete:
+        return True
+    first = [values[e] for e in live]
+    return all([values[e] for e in ch] >= first for ch in chain_ix)
+
+
+def reference_run_plan(plan, budget):
+    "One backtracking pass that rescans every hooked interval at each node."
+    edges, hooks = plan
+    m = len(edges)
+    values = [0] * m
+    nodes = 0
+    frames = [(-1, 0, ())]
+    while frames:
+        t = len(frames) - 1
+        choice, classes, bumped = frames[t]
+        for i in bumped:
+            values[i] -= 1
+        values[t] = 0
+        choice += 1
+        if choice > 2 * classes:
+            frames.pop()
+            continue
+        nodes += 1
+        if nodes > budget:
+            return "unknown", nodes, None
+        if choice % 2 == 0:
+            gap = choice // 2
+            bumped = [i for i in range(t) if values[i] > gap]
+            for i in bumped:
+                values[i] += 1
+            values[t] = gap + 1
+        else:
+            bumped = ()
+            values[t] = (choice + 1) // 2
+        frames[t] = (choice, classes, bumped)
+        if all(reference_interval_ok(values, ix, c) for c, ix in hooks[t]):
+            if t + 1 == m:
+                return "shellable", nodes, dict(zip(edges, values))
+            frames.append((-1, classes + 1 - choice % 2, ()))
+    return "not_shellable", nodes, None
+
+
+def assert_plans_match_reference(L, budgets):
+    _, builders = _search_plans(L)
+    for build, reference in zip(builders, reference_search_plans(L)):
+        plan = build()
+        for budget in budgets:
+            prunes = [0] * len(PRUNE_RULES)
+            got = _run_plan(plan, budget, prunes)
+            assert got == reference_run_plan(reference, budget), (L, budget)
+            assert sum(prunes) <= got[1]
+
+
+def test_run_plan_matches_reference_up_to_seven(small_lattices):
+    for L in small_lattices:
+        if L.covers:
+            assert_plans_match_reference(L, (50, 4096, float("inf")))
+
+
+def test_run_plan_matches_reference_at_eight():
+    for L in enumerate_lattices(8):
+        assert_plans_match_reference(L, (4096,))
 
 
 def test_el_search_runs_without_recursion():
