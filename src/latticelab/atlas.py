@@ -75,15 +75,19 @@ def _meet_closed_posets(k):
     return tuple(found[f] for f in sorted(found))
 
 
+def _check_practical(n):
+    if n > PRACTICAL_MAX_N:
+        raise BoundExceededError(
+            f"enumeration supports n <= {PRACTICAL_MAX_N}, got {n}"
+        )
+
+
 def enumerate_lattices(n):
     """All isomorphism classes of n-element lattices, canonically labeled,
     sorted by canonical form.  Every class appears exactly once."""
     if n < 1:
         raise BoundExceededError(f"n must be at least 1, got {n}")
-    if n > PRACTICAL_MAX_N:
-        raise BoundExceededError(
-            f"enumeration supports n <= {PRACTICAL_MAX_N}, got {n}"
-        )
+    _check_practical(n)
     out = []
     for p in _meet_closed_posets(n - 1):
         poset = canonicalize(_extend_with_maximal(p, range(p.n)))
@@ -165,8 +169,10 @@ def build_atlas(max_n, el_budget=DEFAULT_EL_BUDGET, out_path=None, progress=None
 
     Entries come out sorted by (n, canonical form), so runs with equal
     parameters produce identical files.  With out_path they are also
-    written there by write_atlas.
+    written there by write_atlas.  A max_n above PRACTICAL_MAX_N raises
+    BoundExceededError before any lattice is enumerated.
     """
+    _check_practical(max_n)
     entries = []
     for n in range(1, max_n + 1):
         for L in enumerate_lattices(n):

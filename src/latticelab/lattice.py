@@ -26,6 +26,7 @@ from .errors import (
 from .poset import (
     MAX_ELEMENTS,
     FinitePoset,
+    _check_size,
     _int_rows,
     _minimal_of,
     _seed_canonical,
@@ -233,8 +234,10 @@ def ideal_lattice(p, cap=DEFAULT_IDEAL_CAP):
     Join is union and meet is intersection; the result is always
     distributive.  Returns (lattice, ideals) where ideals[i] is the member
     set of lattice element i.  The element count can grow exponentially,
-    so enumeration aborts with CapExceededError beyond ``cap``.
+    so enumeration aborts with CapExceededError beyond ``cap``.  A cap
+    outside 0..MAX_ELEMENTS raises BoundExceededError before any work.
     """
+    _check_size(cap)
     n = p.n
     down = _int_rows(p.leq.T)
     seen, frontier = {0}, [0]

@@ -19,12 +19,12 @@ weak orders (with per-interval pruning) is sound and complete.  The search
 labels the edges in a fixed order and keeps the state of every chain of
 every interval in bitmasks: one bit per chain, a mask per pair of edges
 adjacent in some chain, and per depth the set of chains already broken.
-A node costs the pairs and intervals on its own edge, not a rescan of
-their chains.
+Each label class is a fixed integer, the midpoint of the gap it opens,
+so a new class moves no labeled edge.  A node costs the pairs and
+intervals on its own edge, not a rescan of their chains or labels.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -304,16 +304,16 @@ class ELSearchResult:
 
 
 def _search_plans(L):
-    """The intervals and their chains, and a plan builder per edge order.
+    """The intervals and their chains, and the two edge orders.
 
-    The "down" plan labels covers from the top of the lattice downward,
-    the "up" plan from the bottom upward; neither dominates, so the search
+    The "down" order labels covers from the top of the lattice downward,
+    the "up" order from the bottom upward; neither dominates, so the search
     runs both.  The intervals and their chains are listed once, here, for
-    both plans, and each plan is compiled only when its builder is called.
-    Along a chain the down order lists edges top to bottom and the up
-    order bottom to top, so at any depth a chain's labeled edges are
-    contiguous: a non-ascending pair of labeled neighbours is what breaks
-    a chain, and nothing else can.
+    both orders, and _compile_plan turns an order into a plan.  Along a
+    chain the down order lists edges top to bottom and the up order bottom
+    to top, so at any depth a chain's labeled edges are contiguous: a
+    non-ascending pair of labeled neighbours is what breaks a chain, and
+    nothing else can.
     """
     intervals = []
     for a, b in _intervals_by_size(L):
@@ -322,13 +322,10 @@ def _search_plans(L):
             continue  # single cover: nothing to constrain
         intervals.append(chains)
     levels = L.levels
-    builders = []
-    for sign in (-1, 1):  # down, then up
-        edge_order = sorted(
-            L.covers, key=lambda e: (sign * levels[e[1]], sign * levels[e[0]], e)
-        )
-        builders.append(partial(_compile_plan, edge_order, intervals))
-    return intervals, builders
+    return intervals, [  # down, then up
+        sorted(L.covers, key=lambda e: (s * levels[e[1]], s * levels[e[0]], e))
+        for s in (-1, 1)
+    ]
 
 
 def _compile_plan(edge_order, intervals):
@@ -403,10 +400,13 @@ def _lex_table(lex, live):
 def _run_plan(plan, budget, prunes):
     """One complete backtracking pass; returns (status, nodes_used, labeling).
 
-    frames[t] is (choice, classes, bumped) for edge t: the choice last
-    tried there, the number of label classes before it, and the edges it
-    moved up by one.  Choice 2g opens a new class in gap g, choice 2k - 1
-    joins class k.  The node that exceeds the budget is counted.
+    frames[t] is (choice, classes) for edge t: the choice last tried there
+    and the sorted label values of the classes before it, framed by the
+    span ends 0 and 2^(m + 1).  Choice 2g opens a class at the midpoint
+    of gap g, choice 2k + 1 joins class k.  A path halves a gap at most m
+    times, so no gap closes and no labeled edge ever moves.  The node
+    that exceeds the budget is counted; a shellable labeling is ranked
+    1..k.
 
     dead[t] holds the chains broken by edges 0..t-1.  Labeled edges never
     change their relative order, so a pair's verdict is final once both
@@ -422,33 +422,25 @@ def _run_plan(plan, budget, prunes):
     values = [0] * m
     dead = [0] * (m + 1)
     nodes = 0
-    frames = [(-1, 0, ())]
+    frames = [(-1, [0, 1 << (m + 1)])]
     t = 0
     while t >= 0:
-        choice, classes, bumped = frames[t]
-        for i in bumped:
-            values[i] -= 1
+        choice, classes = frames[t]
         choice += 1
-        if choice > 2 * classes:
+        if choice > 2 * (len(classes) - 2):
             frames.pop()
             t -= 1
             continue
         nodes += 1
         if nodes > budget:
             return "unknown", nodes, None
+        g = (choice + 1) >> 1
         if choice & 1:
-            bumped = ()
-            v = (choice + 1) >> 1
+            v = classes[g]
         else:
-            v = (choice >> 1) + 1
-            if v <= classes:
-                bumped = [i for i in range(t) if values[i] >= v]
-                for i in bumped:
-                    values[i] += 1
-            else:
-                bumped = ()  # a new top class moves nothing
+            v = (classes[g] + classes[g + 1]) >> 1
         values[t] = v
-        frames[t] = (choice, classes, bumped)
+        frames[t] = (choice, classes)
         d = dead[t]
         for u, mask in below[t]:
             if values[u] >= v:
@@ -485,11 +477,15 @@ def _run_plan(plan, budget, prunes):
             prunes[2] += 1
             break
         else:
+            if not choice & 1:
+                classes = classes[:g + 1] + [v] + classes[g + 1:]
             if t + 1 == m:
-                return "shellable", nodes, dict(zip(edges, values))
+                rank = {c: k for k, c in enumerate(classes)}
+                labeling = {e: rank[x] for e, x in zip(edges, values)}
+                return "shellable", nodes, labeling
             t += 1
             dead[t] = d
-            frames.append((-1, classes + 1 - (choice & 1), ()))
+            frames.append((-1, classes))
     return "not_shellable", nodes, None
 
 
@@ -540,7 +536,7 @@ def el_search(L, budget=DEFAULT_EL_BUDGET):
         }
         return replace(result, labeling=labeling)
 
-    intervals, builders = _search_plans(L)
+    intervals, edge_orders = _search_plans(L)
     size = (len(L.covers), len(intervals), sum(map(len, intervals)))
     if not L.covers:
         return ELSearchResult("shellable", {}, 0, budget, size)
@@ -553,7 +549,7 @@ def el_search(L, budget=DEFAULT_EL_BUDGET):
             if spent >= budget:
                 break
             if plans[k] is None:
-                plans[k] = builders[k]()
+                plans[k] = _compile_plan(edge_orders[k], intervals)
             given = min(slice_budget, budget - spent)
             prunes = [0] * len(PRUNE_RULES)
             status, used, labeling = _run_plan(plans[k], given, prunes)

@@ -77,6 +77,15 @@ def test_enumeration_bounds():
         enumerate_lattices_naive(7)
 
 
+def test_build_atlas_rejects_max_n_before_enumerating(monkeypatch):
+    def no_run(n):
+        raise AssertionError(f"enumerated n={n} before checking max_n")
+
+    monkeypatch.setattr("latticelab.atlas.enumerate_lattices", no_run)
+    with pytest.raises(BoundExceededError, match="n <= 10, got 11"):
+        build_atlas(11)
+
+
 def test_atlas_roundtrip(tmp_path):
     path = tmp_path / "atlas.jsonl"
     entries = build_atlas(5, out_path=str(path))

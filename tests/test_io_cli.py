@@ -388,6 +388,33 @@ def test_cli_atlas_rejects_a_bad_output_path_before_the_run(
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_cli_atlas_rejects_max_n_above_the_bound_at_once(tmp_path, capsys):
+    out = tmp_path / "a.jsonl"
+    start = time.perf_counter()
+    assert main(["atlas", "--max-n", "11", "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n <= 10, got 11" in err
+
+
+@pytest.mark.parametrize("cap", ["4097", "-1"])
+def test_cli_ideals_rejects_a_cap_outside_the_element_bound(
+    tmp_path, capsys, cap
+):
+    # 2^20 ideals: the cap must be refused before any is built.
+    path = tmp_path / "antichain.poset"
+    p = zoo.antichain(20)
+    path.write_text(format_covers(p.n, p.covers))
+    start = time.perf_counter()
+    assert main(["ideals", str(path), "--cap", cap]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert f"count {cap} is outside" in captured.err
+
+
 @pytest.mark.parametrize("command", ["check", "label", "el"])
 def test_cli_rejects_a_bad_dot_path_before_the_work(
     tmp_path, capsys, monkeypatch, command

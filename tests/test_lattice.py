@@ -6,6 +6,7 @@ import pytest
 from latticelab import zoo
 from latticelab.atlas import enumerate_lattices
 from latticelab.errors import (
+    BoundExceededError,
     CapExceededError,
     LatticeError,
     NoBottom,
@@ -16,7 +17,12 @@ from latticelab.errors import (
     NoUniqueMeet,
 )
 from latticelab.lattice import dual, ideal_lattice, interval, try_lattice
-from latticelab.poset import is_isomorphic, poset_from_covers, transitive_reduce
+from latticelab.poset import (
+    MAX_ELEMENTS,
+    is_isomorphic,
+    poset_from_covers,
+    transitive_reduce,
+)
 
 from conftest import random_ideal_posets
 
@@ -314,6 +320,16 @@ def test_ideal_lattice_cap():
     # a custom cap bites earlier
     with pytest.raises(CapExceededError):
         ideal_lattice(zoo.antichain(4), cap=10)
+
+
+def test_ideal_lattice_rejects_a_cap_outside_the_element_bound():
+    # Checked before any ideal is listed: 2^20 of them would not fit.
+    for cap in (-1, MAX_ELEMENTS + 1):
+        with pytest.raises(BoundExceededError, match=f"count {cap} is outside"):
+            ideal_lattice(zoo.antichain(20), cap)
+    with pytest.raises(CapExceededError):
+        ideal_lattice(zoo.antichain(1), cap=0)
+    assert ideal_lattice(zoo.antichain(1), cap=2)[0].n == 2
 
 
 def test_ideal_lattice_covers_are_the_one_element_steps():

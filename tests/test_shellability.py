@@ -16,10 +16,11 @@ from latticelab.errors import (
 )
 from latticelab.irreducibles import _cover_paths, gamma, join_irreducibles
 from latticelab.lattice import dual, ideal_lattice
-from latticelab.poset import poset_from_covers
+from latticelab.poset import canonical_relabeling, poset_from_covers
 from latticelab.properties import left_modular_chain
 from latticelab.shellability import (
     PRUNE_RULES,
+    _compile_plan,
     _intervals_by_size,
     _run_plan,
     _search_plans,
@@ -525,9 +526,9 @@ def reference_run_plan(plan, budget):
 
 
 def assert_plans_match_reference(L, budgets):
-    _, builders = _search_plans(L)
-    for build, reference in zip(builders, reference_search_plans(L)):
-        plan = build()
+    intervals, edge_orders = _search_plans(L)
+    for order, reference in zip(edge_orders, reference_search_plans(L)):
+        plan = _compile_plan(order, intervals)
         for budget in budgets:
             prunes = [0] * len(PRUNE_RULES)
             got = _run_plan(plan, budget, prunes)
@@ -544,6 +545,35 @@ def test_run_plan_matches_reference_up_to_seven(small_lattices):
 def test_run_plan_matches_reference_at_eight():
     for L in enumerate_lattices(8):
         assert_plans_match_reference(L, (4096,))
+
+
+def test_el_search_does_not_depend_on_element_names(small_lattices):
+    """A renamed lattice gets the same search, and its labeling, pulled
+    back, is the original one moved by an automorphism: the one that the
+    renamed copy's canonical relabeling leaves over (the identity unless
+    L has symmetries)."""
+    rng = random.Random(17)
+    moved = 0
+    for L in small_lattices:
+        perm = list(range(L.n))
+        rng.shuffle(perm)
+        M = L.relabel(perm)
+        want, got = el_search(L), el_search(M)
+        assert (got.status, got.nodes, got.passes) == (
+            want.status, want.nodes, want.passes
+        ), L
+        if want.labeling is None:
+            assert got.labeling is None
+            continue
+        canon = canonical_relabeling(M.poset)
+        sigma = [canon[perm[x]] for x in range(L.n)]
+        assert {(sigma[a], sigma[b]) for a, b in L.covers} == set(L.covers)
+        back = {(a, b): got.labeling[(perm[a], perm[b])] for a, b in L.covers}
+        assert back == {
+            (a, b): want.labeling[(sigma[a], sigma[b])] for a, b in L.covers
+        }, L
+        moved += back != want.labeling
+    assert moved > 0
 
 
 def test_el_search_runs_without_recursion():
