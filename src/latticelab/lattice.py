@@ -237,7 +237,7 @@ def ideal_lattice(p, cap=DEFAULT_IDEAL_CAP):
     so enumeration aborts with CapExceededError beyond ``cap``.  A cap
     outside 0..MAX_ELEMENTS raises BoundExceededError before any work.
     """
-    _check_size(cap)
+    _check_size(cap, "ideal cap")
     n = p.n
     down = _int_rows(p.leq.T)
     seen, frontier = {0}, [0]

@@ -27,11 +27,9 @@ from .errors import (
 MAX_ELEMENTS = 4096
 
 
-def _check_size(n):
+def _check_size(n, what="element count"):
     if not 0 <= n <= MAX_ELEMENTS:
-        raise BoundExceededError(
-            f"element count {n} is outside 0..{MAX_ELEMENTS}"
-        )
+        raise BoundExceededError(f"{what} {n} is outside 0..{MAX_ELEMENTS}")
 
 
 def _find_cycle(n, pairs):

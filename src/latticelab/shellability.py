@@ -3,14 +3,32 @@
 An edge labeling maps every covering pair to an integer; only the relative
 order of labels carries meaning.  A labeling is EL when every interval has
 exactly one strictly increasing maximal chain, and that chain's label
-vector is lexicographically smallest in the interval.
+vector is lexicographically smallest in the interval (Bjorner, Trans. AMS
+260, 1980).  An interval that meets this condition passes.
 
-is_el_labeling checks a labeling in polynomial time, O(n * m * (d + k))
-for n elements, m covers, maximum degree d and length k: dynamic programs
-over the covers count every interval's increasing chains and find its
-lexicographically first chain without listing chains.
+Both the verifier and the search decide an interval from its first edges
+alone, by this lemma; write x -< w when w covers x.  Let x < y, where y
+does not cover x, and suppose every interval [w, y] with x -< w <= y
+passes.  Let f(w) be the first label of the increasing chain of [w, y],
+with f(y) = +inf.  Then:
+  - the increasing chains of [x, y] are exactly the chains x -< w followed
+    by the increasing chain of [w, y], one for each such w with
+    label(x, w) < f(w);
+  - [x, y] passes exactly when exactly one w satisfies label(x, w) < f(w),
+    and its label(x, w) is strictly less than every other label(x, w').
+Proof, <=: a chain that starts at another w' loses at its first label; a
+chain that starts at w loses inside [w, y], because [w, y] passes.
+Proof, =>: a w' with a smaller label would give a smaller chain.  With a
+tied label, the chain x -< w' followed by the increasing chain of [w', y]
+is not increasing, so f(w') <= label(x, w), which is less than the second
+label of the increasing chain, and this chain is smaller.
+
+is_el_labeling applies the lemma in one backward sweep per target, in
+O(sum over b of (n_b + m_b)) Python steps, where n_b counts the elements
+before b in a topological order and m_b the covers below b.
 is_el_labeling_naive lists every maximal chain of every interval instead;
-it is the independent oracle the tests hold the fast verifier to.
+it is the independent oracle the tests hold the fast verifier to, and it
+compares whole label vectors.
 
 The exact shellability decision searches the weak orders induced on the
 cover set: labelings inducing the same weak order are interchangeable, and
@@ -21,7 +39,8 @@ every interval in bitmasks: one bit per chain, a mask per pair of edges
 adjacent in some chain, and per depth the set of chains already broken.
 Each label class is a fixed integer, the midpoint of the gap it opens,
 so a new class moves no labeled edge.  A node costs the pairs and
-intervals on its own edge, not a rescan of their chains or labels.
+intervals on its own edge, not a rescan of their chains or labels, and a
+completed interval compares only its first edges, by the lemma.
 """
 
 from dataclasses import dataclass, field, replace
@@ -162,75 +181,55 @@ def is_el_labeling_naive(L, labeling):
     return ELVerdict("is_el")
 
 
-def _increasing_chain_counts(L, labeling):
-    """counts[b, a]: strictly increasing maximal chains of [a, b], capped at 2.
-
-    One forward sweep over the covers in topological order, for all
-    sources a at once: the row of cover (v, w) counts the increasing chains
-    from each a that end in it.  They are the cover itself when a is v,
-    and the chains ending in a cover into v with a smaller label.
-    """
-    n = L.n
-    counts = np.zeros((n, n), dtype=np.int8)
-    ending = np.zeros((len(L.covers), n), dtype=np.int8)
-    into = [[] for _ in range(n)]  # (label, row of ending) per cover into v
-    e = 0
-    for v in L.poset.topological_order:
-        for w in L.upper_covers[v]:
-            label = labeling[(v, w)]
-            row = ending[e]
-            row[v] = 1
-            for m, f in into[v]:
-                if m < label:
-                    row += ending[f]
-                    np.minimum(row, 2, out=row)
-            into[w].append((label, e))
-            counts[w] += row
-            np.minimum(counts[w], 2, out=counts[w])
-            e += 1
-    return counts
-
-
 def _failing_intervals(L, labeling):
-    """Every (a, b), a < b, whose interval breaks the EL condition.
+    """Every (a, b) such that [a, b] fails, or some [w, b] with a < w fails.
 
-    Per target b, a backward sweep takes the lexicographically first label
-    vector from each x below b, best[x] = min over covers x < w <= b of
-    (label(x, w),) + best[w], with a flag that says whether it increases.
-    [a, b] passes exactly when it has one increasing chain and its first
-    vector increases: a chain tying that vector has the same labels, so it
-    would be a second increasing chain.
+    One backward sweep per target b, in topological order, applies the
+    lemma of the module docstring.  Each pending x below b keeps five
+    scalars over its covers x -< w <= b swept so far: the least label, the
+    number of covers with that label, the number of rising covers
+    (label(x, w) < first(w)), the label of the rising cover, and whether
+    every [w, b] passes.  All covers of x are swept before x itself, and
+    then first(x) is the rising label if [x, b] passes, else False, which
+    marks every x' below x as well.  first(b) is None, for +inf.  The
+    least member of the result in (size, a, b) order fails itself: a pair
+    listed only for a failing [w, b] above it comes after (w, b), which
+    is smaller.  So it is the least failing interval.
     """
-    single = (_increasing_chain_counts(L, labeling) == 1).tolist()
     order = L.poset.topological_order
     downs = [
         [(x, labeling[(x, w)]) for x in L.lower_covers[w]] for w in range(L.n)
     ]
     failing = []
     for stop, b in enumerate(order):
-        best = {b: ()}
-        rising = {b: True}
-        pending = {}  # x -> (label, w) of the best cover x < w seen so far
+        first = None
+        pending = {}  # x -> [least, ties, rising, riser, every [w, b] passes]
         for w in order[stop::-1]:
             if w != b:
-                step = pending.pop(w, None)
-                if step is None:
+                state = pending.pop(w, None)
+                if state is None:
                     continue
-                label, u = step
-                tail = best[u]
-                best[w] = (label,) + tail
-                rising[w] = rising[u] and (not tail or label < tail[0])
-                if not (rising[w] and single[b][w]):
+                least, ties, rising, riser, ok = state
+                if ok and ties == 1 and rising == 1 and riser == least:
+                    first = least
+                else:
+                    first = False
                     failing.append((w, b))
-            vector = best[w]
             for x, label in downs[w]:
-                seen = pending.get(x)
-                if (
-                    seen is None
-                    or label < seen[0]
-                    or (label == seen[0] and vector < best[seen[1]])
-                ):
-                    pending[x] = (label, w)
+                state = pending.get(x)
+                if state is None:
+                    state = pending[x] = [label, 0, 0, None, True]
+                if first is False:
+                    state[4] = False
+                    continue
+                if label < state[0]:
+                    state[0] = label
+                    state[1] = 1
+                elif label == state[0]:
+                    state[1] += 1
+                if first is None or label < first:
+                    state[2] += 1
+                    state[3] = label
     return failing
 
 
@@ -240,12 +239,13 @@ def is_el_labeling(L, labeling):
     A chain whose label vector ties the increasing chain's is increasing
     too, so a tie fails as "multiple_increasing_chains".
 
-    Two dynamic programs over the cover graph decide every interval (see
-    _increasing_chain_counts and _failing_intervals) in O(n * m * (d + k))
-    steps for n elements, m covers, maximum degree d and length k.  On
-    failure the verdict names the smallest failing interval in (size, a, b)
-    order, with the reason and chains that is_el_labeling_naive reports,
-    found by listing the chains of that interval alone.
+    _failing_intervals decides every interval from its first edges, in
+    O(sum over b of (n_b + m_b)) Python steps with no numpy, where n_b
+    counts the elements before b in a topological order and m_b the
+    covers below b; it builds no label vectors.  On failure the verdict
+    names the smallest failing interval in (size, a, b) order, with the
+    reason and chains that is_el_labeling_naive reports, found by listing
+    the chains of that interval alone.
     """
     _check_complete(L, labeling)
     failing = set(_failing_intervals(L, labeling))
@@ -255,7 +255,7 @@ def is_el_labeling(L, labeling):
     verdict = _interval_failure(L, labeling, a, b)
     if verdict is None:
         raise InvariantViolation(
-            f"interval {(a, b)} failed the chain count but not its chain list"
+            f"interval {(a, b)} failed the first-edge rule but not its chain list"
         )
     return verdict
 
@@ -340,10 +340,11 @@ def _compile_plan(edge_order, intervals):
         broken unless label(t) < label(u);
       hooks[t]: (mask, full, lex) per interval with edge t, where mask is
         its chains, full those whose edges all have index <= t, and lex
-        is (first bit, chains as edge-index tuples) when t is the
-        interval's last edge, else None.
-    tables, filled on first use, maps the bit of an interval's one live
-    chain to its lexicographic comparisons (see _lex_table).
+        is (first bit, the first edge of each chain, the distinct first
+        edges) when t is the interval's last edge, else None.
+    hooks[t] lists its intervals in _intervals_by_size order, the order
+    of the interval list, so each [w, y] inside [x, y] is checked before
+    it; _run_plan relies on this to apply the first-edge rule.
     """
     index = {e: i for i, e in enumerate(edge_order)}
     m = len(edge_order)
@@ -362,11 +363,13 @@ def _compile_plan(edge_order, intervals):
             ends[max(path)] = ends.get(max(path), 0) | 1 << bit
             bit += 1
         mask = (1 << bit) - (1 << first)
+        heads = tuple(path[0] for path in paths)
+        starts = sorted(set(heads))
         members = sorted({e for path in paths for e in path})
         full = 0
         for e in members:
             full |= ends.get(e, 0)
-            lex = (first, paths) if e == members[-1] else None
+            lex = (first, heads, starts) if e == members[-1] else None
             hooks[e].append((mask, full, lex))
     below = [[] for _ in range(m)]
     above = [[] for _ in range(m)]
@@ -375,26 +378,7 @@ def _compile_plan(edge_order, intervals):
             below[hi].append((lo, chain_mask))
         else:
             above[lo].append((hi, chain_mask))
-    return edge_order, below, above, hooks, {}
-
-
-def _lex_table(lex, live):
-    """Comparisons that make the live chain of a complete interval least.
-
-    For every other chain: the live chain's edge and the other chain's at
-    their first difference (two distinct cover paths from a to b differ
-    somewhere before either ends), and both tails after it, which are
-    compared only when those two edges tie.
-    """
-    first, paths = lex
-    win = paths[live.bit_length() - 1 - first]
-    table = []
-    for path in paths:
-        if path is win:
-            continue
-        i = next(i for i, (e, f) in enumerate(zip(win, path)) if e != f)
-        table.append((win[i], path[i], win[i + 1:], path[i + 1:]))
-    return table
+    return edge_order, below, above, hooks
 
 
 def _run_plan(plan, budget, prunes):
@@ -413,11 +397,15 @@ def _run_plan(plan, budget, prunes):
     its edges are labeled: each node ORs the masks of t's non-ascending
     pairs into dead[t] to get dead[t + 1], and nothing is undone.  Every
     interval hooked on t needs a live chain, and at most one live chain
-    whose edges are all labeled; when t completes the interval, its one
-    live chain is its increasing chain and must be lexicographically
-    least.  prunes counts the failed nodes per rule, in PRUNE_RULES order.
+    whose edges are all labeled.  When t completes an interval [x, y],
+    its one live chain is its increasing chain, and every [w, y] with
+    x -< w has passed: at an earlier depth, or earlier in hooks[t], which
+    lists smaller intervals first.  So by the lemma of the module
+    docstring, [x, y] passes exactly when the live chain's first edge is
+    labeled strictly below every other first edge.  prunes counts the
+    failed nodes per rule, in PRUNE_RULES order.
     """
-    edges, below, above, hooks, tables = plan
+    edges, below, above, hooks = plan
     m = len(edges)
     values = [0] * m
     dead = [0] * (m + 1)
@@ -460,17 +448,11 @@ def _run_plan(plan, budget, prunes):
                 break
             if lex is None:
                 continue
-            try:
-                table = tables[live]
-            except KeyError:
-                table = tables[live] = _lex_table(lex, live)
-            for e, f, tail, other in table:
-                x = values[e]
-                y = values[f]
-                if x > y or (
-                    x == y
-                    and [values[i] for i in tail] > [values[i] for i in other]
-                ):
+            first, heads, starts = lex
+            e = heads[live.bit_length() - 1 - first]
+            x = values[e]
+            for f in starts:
+                if values[f] <= x and f != e:
                     break
             else:
                 continue

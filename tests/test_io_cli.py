@@ -412,7 +412,7 @@ def test_cli_ideals_rejects_a_cap_outside_the_element_bound(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
-    assert f"count {cap} is outside" in captured.err
+    assert f"ideal cap {cap} is outside 0..4096" in captured.err
 
 
 @pytest.mark.parametrize("command", ["check", "label", "el"])

@@ -325,7 +325,7 @@ def test_ideal_lattice_cap():
 def test_ideal_lattice_rejects_a_cap_outside_the_element_bound():
     # Checked before any ideal is listed: 2^20 of them would not fit.
     for cap in (-1, MAX_ELEMENTS + 1):
-        with pytest.raises(BoundExceededError, match=f"count {cap} is outside"):
+        with pytest.raises(BoundExceededError, match=f"ideal cap {cap} is outside"):
             ideal_lattice(zoo.antichain(20), cap)
     with pytest.raises(CapExceededError):
         ideal_lattice(zoo.antichain(1), cap=0)

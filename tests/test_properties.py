@@ -1,4 +1,5 @@
 import inspect
+import random
 import sys
 import time
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from latticelab import zoo
 from latticelab.atlas import enumerate_lattices
-from latticelab.classify import classify
+from latticelab.classify import FLAG_NAMES, classify
 from latticelab.irreducibles import (
     join_irreducible_ids,
     length,
@@ -292,6 +293,19 @@ def test_distributivity_agrees_with_the_dual_on_every_lattice_up_to_8():
     for n in range(1, 9):
         for L in enumerate_lattices(n):
             assert is_distributive(L)[0] == is_distributive(dual(L))[0]
+
+
+def test_classify_survives_relabeling_up_to_7():
+    rng = random.Random(29)
+    for n in range(1, 8):
+        for L in enumerate_lattices(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            want, got = classify(L), classify(L.relabel(perm))
+            for name in FLAG_NAMES + (
+                "length", "num_join_irreducibles", "num_meet_irreducibles",
+            ):
+                assert getattr(got, name) == getattr(want, name), (L, perm, name)
 
 
 def test_is_semidistributive_combines_both_laws():

@@ -21,6 +21,8 @@ from latticelab.properties import left_modular_chain
 from latticelab.shellability import (
     PRUNE_RULES,
     _compile_plan,
+    _failing_intervals,
+    _interval_failure,
     _intervals_by_size,
     _run_plan,
     _search_plans,
@@ -273,10 +275,32 @@ REASONS = {
 }
 
 
+def reference_failing_intervals(L, labeling):
+    "(a, b) with [w, b] failing by its chain list for some w in [a, b)."
+    intervals = _intervals_by_size(L)
+    fails = {
+        (w, b)
+        for w, b in intervals
+        if _interval_failure(L, labeling, w, b) is not None
+    }
+    return {
+        (a, b)
+        for a, b in intervals
+        if any((w, b) in fails for w in range(L.n) if L.leq[a, w])
+    }
+
+
 def assert_matches_oracle(L, labeling):
-    "The verifier gives the oracle's verdict, diagnostics included."
+    """The verifier gives the oracle's verdict, diagnostics included, and
+    for n <= 7 _failing_intervals returns the set its contract names."""
     verdict = is_el_labeling(L, labeling)
     assert verdict == is_el_labeling_naive(L, labeling), (L, labeling)
+    if L.n <= 7:
+        failing = _failing_intervals(L, labeling)
+        assert len(failing) == len(set(failing))
+        assert set(failing) == reference_failing_intervals(L, labeling), (
+            L, labeling,
+        )
     return verdict
 
 
