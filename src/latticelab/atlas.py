@@ -16,6 +16,7 @@ from .classify import ClassificationRecord, classify
 from .errors import AtlasParseError, BoundExceededError, InvariantViolation
 from .lattice import try_lattice
 from .poset import (
+    FinitePoset,
     _int_rows,
     canonical_form,
     canonicalize,
@@ -64,18 +65,21 @@ def _extend_with_maximal(p, members):
 
 @lru_cache(maxsize=None)
 def _meet_closed_posets(k):
-    "All k-element meet-closed posets up to isomorphism, canonically labeled."
+    """All k-element meet-closed posets up to isomorphism, by canonical form:
+    each as built, not relabeled, minus the caches its search filled."""
     if k == 0:
         return (transitive_reduce(0, []),)
     found = {}
     for p in _meet_closed_posets(k - 1):
         for members in _down_set_extensions(p):
-            q = canonicalize(_extend_with_maximal(p, members))
+            q = _extend_with_maximal(p, members)
             found.setdefault(canonical_form(q), q)
-    return tuple(found[f] for f in sorted(found))
+    return tuple(FinitePoset(q.n, q.covers, q.leq) for _, q in sorted(found.items()))
 
 
 def _check_practical(n):
+    if n < 1:
+        raise BoundExceededError(f"n must be at least 1, got {n}")
     if n > PRACTICAL_MAX_N:
         raise BoundExceededError(
             f"enumeration supports n <= {PRACTICAL_MAX_N}, got {n}"
@@ -85,8 +89,6 @@ def _check_practical(n):
 def enumerate_lattices(n):
     """All isomorphism classes of n-element lattices, canonically labeled,
     sorted by canonical form.  Every class appears exactly once."""
-    if n < 1:
-        raise BoundExceededError(f"n must be at least 1, got {n}")
     _check_practical(n)
     out = []
     for p in _meet_closed_posets(n - 1):
@@ -146,7 +148,7 @@ class AtlasEntry:
 
     @classmethod
     def from_json_obj(cls, obj):
-        "The entry an atlas line holds; TypeError for a field of the wrong type."
+        "The entry an atlas line holds; TypeError or ValueError for a bad field."
         entry = cls(
             n=obj["n"],
             canonical=bytes.fromhex(obj["canonical"]),
@@ -154,8 +156,10 @@ class AtlasEntry:
         )
         for item in (entry, entry.record):
             for f in fields(item):
-                if not isinstance(getattr(item, f.name), f.type):
+                if type(getattr(item, f.name)) is not f.type:
                     raise TypeError(f"{f.name} is not {f.type.__name__}")
+        if entry.record.el_shellable not in ("yes", "no", "unknown"):
+            raise ValueError(f"el_shellable {entry.record.el_shellable!r}")
         return entry
 
 
@@ -169,8 +173,8 @@ def build_atlas(max_n, el_budget=DEFAULT_EL_BUDGET, out_path=None, progress=None
 
     Entries come out sorted by (n, canonical form), so runs with equal
     parameters produce identical files.  With out_path they are also
-    written there by write_atlas.  A max_n above PRACTICAL_MAX_N raises
-    BoundExceededError before any lattice is enumerated.
+    written there by write_atlas.  A max_n outside 1..PRACTICAL_MAX_N
+    raises BoundExceededError before any lattice is enumerated.
     """
     _check_practical(max_n)
     entries = []

@@ -243,6 +243,8 @@ def ideal_lattice(p, cap=DEFAULT_IDEAL_CAP):
     seen, frontier = {0}, [0]
     steps = []  # (mask, mask | {x}): every cover of the result, once
     while frontier:
+        if len(seen) > cap:  # seen counts the empty ideal; each ideal is popped
+            raise CapExceededError(cap)
         mask = frontier.pop()
         for x in range(n):
             if down[x] & ~mask != 1 << x:  # x is in mask or not addable
@@ -250,8 +252,6 @@ def ideal_lattice(p, cap=DEFAULT_IDEAL_CAP):
             new = mask | (1 << x)
             steps.append((mask, new))
             if new not in seen:
-                if len(seen) >= cap:
-                    raise CapExceededError(cap)
                 seen.add(new)
                 frontier.append(new)
     masks = sorted(seen, key=lambda m: (bin(m).count("1"), m))

@@ -43,7 +43,7 @@ intervals on its own edge, not a rescan of their chains or labels, and a
 completed interval compares only its first edges, by the lemma.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from .irreducibles import (
     join_irreducible_ids,
     length,
 )
+from .poset import _int_rows, canonical_relabeling
 from .properties import _cover_arrays, _left_modular_set
 
 DEFAULT_EL_BUDGET = 10_000_000
@@ -124,13 +125,14 @@ class ELVerdict:
         return self.status == "is_el"
 
 
-def _intervals_by_size(L):
-    "(a, b) pairs with a < b as Python ints, in (|[a, b]|, a, b) order."
-    leq = L.leq.astype(np.int32)
-    sizes = leq @ leq  # sizes[a, b] = |[a, b]|
+def _intervals_by_size(L, slot=None):
+    """(a, b) pairs with a < b as Python ints, in (|[a, b]|, slot[a], slot[b])
+    order, slot defaulting to the ids; |[a, b]| counts up(a) & down(b)."""
+    slot = range(L.n) if slot is None else slot
+    up, down = _int_rows(L.leq), _int_rows(L.leq.T)
     a, b = np.nonzero(L.leq & ~np.eye(L.n, dtype=bool))
-    order = np.lexsort((b, a, sizes[a, b]))
-    return list(zip(a[order].tolist(), b[order].tolist()))
+    key = lambda p: ((up[p[0]] & down[p[1]]).bit_count(), slot[p[0]], slot[p[1]])
+    return sorted(zip(a.tolist(), b.tolist()), key=key)
 
 
 def _interval_failure(L, labeling, a, b):
@@ -313,17 +315,21 @@ def _search_plans(L):
     chain the down order lists edges top to bottom and the up order bottom
     to top, so at any depth a chain's labeled edges are contiguous: a
     non-ascending pair of labeled neighbours is what breaks a chain, and
-    nothing else can.
+    nothing else can.  The plan is ordered by canonical slot, read on L
+    with no copy: intervals by (|[a, b]|, slot[a], slot[b]), edges by
+    level, then slot.  So a relabeled L gets the image of L's plan.
     """
+    slot = canonical_relabeling(L.poset)
     intervals = []
-    for a, b in _intervals_by_size(L):
+    for a, b in _intervals_by_size(L, slot):
         chains = list(_cover_paths(L, a, b))
         if len(chains) == 1 and len(chains[0]) == 2:
             continue  # single cover: nothing to constrain
         intervals.append(chains)
     levels = L.levels
-    return intervals, [  # down, then up
-        sorted(L.covers, key=lambda e: (s * levels[e[1]], s * levels[e[0]], e))
+    covers = sorted(L.covers, key=lambda e: (slot[e[0]], slot[e[1]]))
+    return intervals, [  # down, then up; ties stay in slot order
+        sorted(covers, key=lambda e: (s * levels[e[1]], s * levels[e[0]]))
         for s in (-1, 1)
     ]
 
@@ -486,16 +492,17 @@ def el_search(L, budget=DEFAULT_EL_BUDGET):
     once its last edge is labeled; relative order of already-labeled edges
     never changes afterwards, so those verdicts are stable.
 
-    The lattice is canonicalized first, so the outcome depends only on its
-    isomorphism class, and two edge orders (top-down, then bottom-up) run
-    under iteratively deepened node slices, since either can be far faster
-    on a given instance; the bottom-up plan is built only when the first
-    top-down slice runs out.  Nodes are counted across all passes;
-    exceeding the budget returns status "unknown".  The budget bounds
-    search nodes only: the canonical labeling before the search has no
-    automorphism pruning, so on lattices with large automorphism groups
-    it alone can take longer than any search (about 15 s on M_10, more
-    than two minutes on B5), whatever the budget.
+    The plan is ordered by canonical slot, with no copy of L, so the
+    outcome depends only on its isomorphism class, and two edge orders
+    (top-down, then bottom-up) run under iteratively deepened node slices,
+    since either can be far faster on a given instance; the bottom-up
+    plan is built only when the first top-down slice runs out.  Nodes are
+    counted across all passes; exceeding the budget returns status
+    "unknown".  The budget bounds search nodes only: the canonical
+    labeling before the search has no automorphism pruning, so on
+    lattices with large automorphism groups it alone can take longer than
+    any search (about 15 s on M_10, more than two minutes on B5), whatever
+    the budget.
 
     A negative budget raises ValueError.  The result also carries
     telemetry that no verdict depends on: result.plan_size and
@@ -506,18 +513,6 @@ def el_search(L, budget=DEFAULT_EL_BUDGET):
     """
     if budget < 0:
         raise ValueError(f"el_search budget must be nonnegative, got {budget}")
-    from .poset import canonical_relabeling
-
-    perm = canonical_relabeling(L.poset)
-    if any(perm[i] != i for i in range(L.n)):
-        result = el_search(L.canonicalize(), budget)
-        if result.labeling is None:
-            return result
-        labeling = {
-            (a, b): result.labeling[(perm[a], perm[b])] for a, b in L.covers
-        }
-        return replace(result, labeling=labeling)
-
     intervals, edge_orders = _search_plans(L)
     size = (len(L.covers), len(intervals), sum(map(len, intervals)))
     if not L.covers:

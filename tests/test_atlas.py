@@ -86,6 +86,12 @@ def test_build_atlas_rejects_max_n_before_enumerating(monkeypatch):
         build_atlas(11)
 
 
+@pytest.mark.parametrize("max_n", [0, -3])
+def test_build_atlas_rejects_max_n_below_one(max_n):
+    with pytest.raises(BoundExceededError, match=f"at least 1, got {max_n}"):
+        build_atlas(max_n)
+
+
 def test_atlas_roundtrip(tmp_path):
     path = tmp_path / "atlas.jsonl"
     entries = build_atlas(5, out_path=str(path))

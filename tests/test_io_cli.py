@@ -398,6 +398,47 @@ def test_cli_atlas_rejects_max_n_above_the_bound_at_once(tmp_path, capsys):
     assert err.startswith("error:") and "n <= 10, got 11" in err
 
 
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_cli_atlas_rejects_max_n_below_one_at_once(tmp_path, capsys, max_n):
+    out = tmp_path / "a.jsonl"
+    start = time.perf_counter()
+    assert main(["atlas", "--max-n", max_n, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"at least 1, got {max_n}" in err
+
+
+@pytest.mark.parametrize("command", ["hunt", "implications"])
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", True), ("length", True), ("el_shellable", "maybe")],
+)
+def test_cli_rejects_a_forged_atlas_value(tmp_path, capsys, command, field, value):
+    from latticelab.atlas import build_atlas, write_atlas
+
+    path = tmp_path / "forged.jsonl"
+    write_atlas(str(path), build_atlas(3))
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[2])
+    (obj if field == "n" else obj["record"])[field] = value
+    lines[2] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 3:") and field in captured.err
+
+
+def test_cli_ideals_cap_zero_is_exceeded(tmp_path, capsys):
+    path = tmp_path / "empty.poset"
+    path.write_text(format_covers(0, []))
+    assert main(["ideals", str(path), "--cap", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceed the cap of 0 elements" in captured.err
+
+
 @pytest.mark.parametrize("cap", ["4097", "-1"])
 def test_cli_ideals_rejects_a_cap_outside_the_element_bound(
     tmp_path, capsys, cap

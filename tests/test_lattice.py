@@ -332,6 +332,14 @@ def test_ideal_lattice_rejects_a_cap_outside_the_element_bound():
     assert ideal_lattice(zoo.antichain(1), cap=2)[0].n == 2
 
 
+def test_ideal_lattice_counts_the_empty_ideal_against_the_cap():
+    for p in (zoo.antichain(0), zoo.antichain(3), zoo.chain(2).poset):
+        with pytest.raises(CapExceededError):
+            ideal_lattice(p, cap=0)
+    L, ideals = ideal_lattice(zoo.antichain(0), cap=1)
+    assert (L.n, ideals) == (1, (frozenset(),))
+
+
 def test_ideal_lattice_covers_are_the_one_element_steps():
     rng = random.Random(3)
     for _ in range(40):

@@ -4,6 +4,7 @@ import random
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +16,7 @@ from latticelab.errors import (
     PartialLabelingError,
 )
 from latticelab.irreducibles import _cover_paths, gamma, join_irreducibles
-from latticelab.lattice import dual, ideal_lattice
+from latticelab.lattice import Lattice, dual, ideal_lattice
 from latticelab.poset import canonical_relabeling, poset_from_covers
 from latticelab.properties import left_modular_chain
 from latticelab.shellability import (
@@ -273,6 +274,41 @@ REASONS = {
     "multiple_increasing_chains",
     "increasing_not_lex_min",
 }
+
+
+def reference_intervals_by_size(L, slot=None):
+    """_intervals_by_size as the library computed it before: the sizes
+    from the int32 product leq @ leq, the order from one lexsort."""
+    slot = np.arange(L.n) if slot is None else np.asarray(slot)
+    leq = L.leq.astype(np.int32)
+    sizes = leq @ leq  # sizes[a, b] = |[a, b]|
+    a, b = np.nonzero(L.leq & ~np.eye(L.n, dtype=bool))
+    order = np.lexsort((slot[b], slot[a], sizes[a, b]))
+    return list(zip(a[order].tolist(), b[order].tolist()))
+
+
+def test_intervals_by_size_matches_reference(large_lattices):
+    "With ids and with a seeded slot key, up to 8, the duals and large families."
+    rng = random.Random(23)
+    small = [
+        K for n in range(1, 9) for L in enumerate_lattices(n) for K in (L, dual(L))
+    ]
+    for L in [*small, *large_lattices.values()]:
+        slot = rng.sample(range(L.n), L.n)
+        assert _intervals_by_size(L) == reference_intervals_by_size(L), L
+        assert _intervals_by_size(L, slot) == reference_intervals_by_size(
+            L, slot
+        ), L
+
+
+def test_a_failing_labeling_of_b10_is_refuted_quickly():
+    L = zoo.boolean(10)
+    start = time.perf_counter()
+    verdict = is_el_labeling(L, dict.fromkeys(L.covers, 1))
+    assert time.perf_counter() - start < 2.0
+    assert (verdict.status, verdict.interval, verdict.reason) == (
+        "not_el", (0, 11), "no_increasing_chain"
+    )
 
 
 def reference_failing_intervals(L, labeling):
@@ -598,6 +634,24 @@ def test_el_search_does_not_depend_on_element_names(small_lattices):
         }, L
         moved += back != want.labeling
     assert moved > 0
+
+
+def test_el_search_plans_on_the_lattice_it_is_given(small_lattices, monkeypatch):
+    """No relabeled copy: with Lattice.relabel and Lattice.canonicalize
+    disabled, a renamed lattice gets the canonical lattice's search."""
+    rng = random.Random(29)
+    renamed = [(L, L.relabel(rng.sample(range(L.n), L.n))) for L in small_lattices]
+
+    def no_copy(*args, **kwargs):
+        raise AssertionError("el_search made a relabeled copy")
+
+    monkeypatch.setattr(Lattice, "relabel", no_copy)
+    monkeypatch.setattr(Lattice, "canonicalize", no_copy)
+    for L, M in renamed:
+        want, got = el_search(L), el_search(M)
+        assert (got.status, got.nodes, got.passes) == (
+            want.status, want.nodes, want.passes
+        ), L
 
 
 def test_el_search_runs_without_recursion():
