@@ -18,6 +18,7 @@ from latticelab import (
     enumerate_lattices_naive,
     hunt_questions,
     read_atlas,
+    write_atlas,
 )
 
 print("isomorphism classes per size (generator vs naive oracle):")
@@ -48,6 +49,6 @@ for line in hunt_questions(entries).summary_lines():
 
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "atlas.jsonl")
-    build_atlas(5, out_path=path)
+    write_atlas(path, build_atlas(5), max_n=5)
     header, back = read_atlas(path)
 print(f"\npersisted and re-read {len(back)} entries (schema {header['schema']})")

@@ -9,11 +9,18 @@ the generator at small sizes.
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from .classify import ClassificationRecord, classify
-from .errors import AtlasParseError, BoundExceededError, InvariantViolation
+from .errors import (
+    AtlasParseError,
+    BoundExceededError,
+    InvariantViolation,
+    NotALatticeError,
+    NotReducedError,
+)
 from .lattice import try_lattice
 from .poset import (
     FinitePoset,
@@ -121,7 +128,7 @@ def enumerate_lattices_naive(n):
         try:
             p = poset_from_covers(n, covers)
             try_lattice(p)
-        except Exception:
+        except (NotReducedError, NotALatticeError):
             continue
         found.setdefault(canonical_form(p), canonicalize(p))
     return [try_lattice(found[f]) for f in sorted(found)]
@@ -168,13 +175,13 @@ def entry_lattice(entry):
     return try_lattice(poset_from_canonical(entry.canonical))
 
 
-def build_atlas(max_n, el_budget=DEFAULT_EL_BUDGET, out_path=None, progress=None):
+def build_atlas(max_n, el_budget=DEFAULT_EL_BUDGET, progress=None):
     """Classify every lattice with up to max_n elements.
 
     Entries come out sorted by (n, canonical form), so runs with equal
-    parameters produce identical files.  With out_path they are also
-    written there by write_atlas.  A max_n outside 1..PRACTICAL_MAX_N
-    raises BoundExceededError before any lattice is enumerated.
+    parameters produce identical files when write_atlas writes them.  A
+    max_n outside 1..PRACTICAL_MAX_N raises BoundExceededError before any
+    lattice is enumerated.
     """
     _check_practical(max_n)
     entries = []
@@ -189,8 +196,6 @@ def build_atlas(max_n, el_budget=DEFAULT_EL_BUDGET, out_path=None, progress=None
             )
         if progress:
             progress(n, len(entries))
-    if out_path:
-        write_atlas(out_path, entries, max_n=max_n, el_budget=el_budget)
     return entries
 
 
@@ -202,52 +207,58 @@ def _header_line(max_n, el_budget):
     )
 
 
-def write_atlas(path, entries, max_n=None, el_budget=DEFAULT_EL_BUDGET):
-    """Write entries as one JSON object per line under a schema header,
-    sorted by (n, canonical form) so the file is deterministic."""
+def write_atlas(out, entries, max_n=None, el_budget=DEFAULT_EL_BUDGET):
+    """Write entries to out, a path or a text stream such as sys.stdout,
+    as one JSON object per line under a schema header, sorted by (n,
+    canonical form) so the bytes are deterministic."""
+    if not hasattr(out, "write"):
+        with open(out, "w", encoding="utf-8") as fh:
+            return write_atlas(fh, entries, max_n, el_budget)
     entries = sorted(entries, key=lambda e: (e.n, e.canonical))
     if max_n is None:
         max_n = max((e.n for e in entries), default=0)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_header_line(max_n, el_budget) + "\n")
-        for entry in entries:
-            fh.write(entry.as_json_line() + "\n")
+    out.write(_header_line(max_n, el_budget) + "\n")
+    for entry in entries:
+        out.write(entry.as_json_line() + "\n")
     return entries
 
 
-def read_atlas(path):
-    """Parse an atlas file; returns (header, entries).
+def read_atlas(source):
+    """Parse an atlas from source, a path or a binary stream such as
+    sys.stdin.buffer; returns (header, entries).
 
     Raises AtlasParseError, naming the line, for text that is not UTF-8,
     a line that is not a JSON object, and an entry field of the wrong type.
     """
+    if not hasattr(source, "read"):
+        with open(source, "rb") as fh:
+            return read_atlas(fh)
     header = None
     entries = []
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise AtlasParseError(lineno, f"not UTF-8: {exc}") from exc
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise AtlasParseError(lineno, f"bad JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise AtlasParseError(lineno, "not a JSON object")
-            if lineno == 1:
-                if obj.get("schema") != SCHEMA_VERSION:
-                    raise AtlasParseError(
-                        lineno, f"unsupported schema {obj.get('schema')!r}"
-                    )
-                header = obj
-                continue
-            try:
-                entries.append(AtlasEntry.from_json_obj(obj))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise AtlasParseError(lineno, f"bad entry: {exc!r}") from exc
+    for lineno, raw in enumerate(source, start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise AtlasParseError(lineno, f"not UTF-8: {exc}") from exc
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise AtlasParseError(lineno, f"bad JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise AtlasParseError(lineno, "not a JSON object")
+        if lineno == 1:
+            if obj.get("schema") != SCHEMA_VERSION:
+                raise AtlasParseError(
+                    lineno, f"unsupported schema {obj.get('schema')!r}"
+                )
+            header = obj
+            continue
+        try:
+            entries.append(AtlasEntry.from_json_obj(obj))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise AtlasParseError(lineno, f"bad entry: {exc!r}") from exc
     if header is None:
         raise AtlasParseError(1, "missing schema header")
     return header, entries
@@ -425,19 +436,30 @@ class ImplicationReport:
         return lines
 
 
+def _violators(arrow, entries):
+    """(violators, skipped): the entries that meet every premise of arrow
+    but fail its conclusion, in the order given, and the number of entries
+    left out because arrow mentions EL-shellability and their EL status
+    is unknown."""
+    needs_el = "el_shellable" in (*arrow.premises, arrow.conclusion)
+    violators = []
+    skipped = 0
+    for entry in entries:
+        record = entry.record
+        if needs_el and record.el_shellable == "unknown":
+            skipped += 1
+        elif all(map(record.flag, arrow.premises)):
+            if not record.flag(arrow.conclusion):
+                violators.append(entry)
+    return violators, skipped
+
+
 def _zoo_canonical_forms():
+    "Name -> canonical form of every zoo lattice some arrow designates."
     from . import zoo
 
-    names = (
-        "m3",
-        "hexagon",
-        "extremal_not_left_modular",
-        "left_modular_not_semidistributive",
-        "jsd_not_left_modular",
-    )
-    return {
-        name: canonical_form(getattr(zoo, name)().poset) for name in names
-    }
+    names = {arrow.designated for arrow in ARROWS if arrow.designated}
+    return {name: canonical_form(getattr(zoo, name)().poset) for name in names}
 
 
 def check_implications(entries):
@@ -453,35 +475,15 @@ def check_implications(entries):
     designated_forms = _zoo_canonical_forms()
     results = []
     for arrow in ARROWS:
-        needs_el = "el_shellable" in arrow.premises + (arrow.conclusion,)
-        violations = 0
-        examples = []
-        skipped = 0
-        for entry in entries:
-            record = entry.record
-            if needs_el and record.el_shellable == "unknown":
-                skipped += 1
-                continue
-            if not all(record.flag(p) for p in arrow.premises):
-                continue
-            if record.flag(arrow.conclusion):
-                continue
-            violations += 1
-            if len(examples) < _KEEP_EXAMPLES:
-                examples.append(entry.canonical)
+        violators, skipped = _violators(arrow, entries)
         designated_found = None
         if arrow.designated:
             form = designated_forms[arrow.designated]
-            size = int.from_bytes(form[:4], "big")
-            if size <= max_n:
-                designated_found = any(
-                    e.canonical == form
-                    and all(e.record.flag(p) for p in arrow.premises)
-                    and not e.record.flag(arrow.conclusion)
-                    for e in entries
-                )
+            if int.from_bytes(form[:4], "big") <= max_n:
+                designated_found = any(e.canonical == form for e in violators)
+        examples = tuple(e.canonical for e in violators[:_KEEP_EXAMPLES])
         results.append(
-            ArrowResult(arrow, violations, tuple(examples), skipped, designated_found)
+            ArrowResult(arrow, len(violators), examples, skipped, designated_found)
         )
     return ImplicationReport(tuple(results), max_n)
 
@@ -497,8 +499,12 @@ class HuntReport:
 
     Both questions quantify over semidistributive EL-shellable lattices:
     the first asks whether such a lattice can avoid being left modular,
-    the second whether it can avoid being extremal.  The report only lists
-    findings up to the scanned size; it never claims an answer.
+    the second whether it can avoid being extremal.  The candidates are
+    the violators of the grid's two open arrows.  The second question
+    reduces to the first: by the paper SD and LM imply join extremal, and
+    left modularity is self-dual, so SD and LM imply extremal.  Hence
+    every not_extremal entry is also in not_left_modular.  The report
+    only lists findings up to the scanned size; it never claims an answer.
     """
 
     not_left_modular: tuple
@@ -528,29 +534,18 @@ class HuntReport:
 
 
 def hunt_questions(entries):
-    entries = list(entries)
-    scanned = {}
-    not_lm = []
-    not_ext = []
-    unknown = []
-    for entry in entries:
-        scanned[entry.n] = scanned.get(entry.n, 0) + 1
-        record = entry.record
-        if not record.semidistributive:
-            continue
-        if record.el_shellable == "unknown":
-            unknown.append(entry)
-            continue
-        if record.el_shellable != "yes":
-            continue
-        if not record.left_modular:
-            not_lm.append(entry)
-        if not record.extremal:
-            not_ext.append(entry)
-    key = lambda e: (e.n, e.canonical)
-    return HuntReport(
-        tuple(sorted(not_lm, key=key)),
-        tuple(sorted(not_ext, key=key)),
-        tuple(sorted(unknown, key=key)),
-        scanned,
+    """The violators of the open arrows sd&el_shellable=>left_modular and
+    sd&el_shellable=>extremal, and the SD entries whose EL status is
+    unknown, each sorted by (n, canonical form)."""
+    entries = sorted(entries, key=lambda e: (e.n, e.canonical))
+    not_lm, not_ext = (
+        tuple(_violators(arrow, entries)[0])
+        for arrow in ARROWS
+        if arrow.expected == "open"
     )
+    unknown = tuple(
+        e for e in entries
+        if e.record.semidistributive and e.record.el_shellable == "unknown"
+    )
+    scanned = dict(Counter(e.n for e in entries))
+    return HuntReport(not_lm, not_ext, unknown, scanned)

@@ -19,6 +19,7 @@ from .atlas import (
     check_implications,
     hunt_questions,
     read_atlas,
+    write_atlas,
     write_csv,
 )
 from .classify import classify
@@ -28,8 +29,8 @@ from .irreducibles import (
     perspectivity_witness_recursive,
     perspectivity_witness_scan,
 )
-from .lattice import DEFAULT_IDEAL_CAP, dual, ideal_lattice, try_lattice
-from .poset import poset_from_covers
+from .lattice import dual, ideal_lattice, try_lattice
+from .poset import MAX_ELEMENTS, poset_from_covers
 from .properties import left_modular_chain
 from .shellability import (
     DEFAULT_EL_BUDGET,
@@ -172,24 +173,28 @@ def cmd_dual(args):
 
 
 def cmd_atlas(args):
+    "Without --out and --csv, print the atlas file --out would hold."
     entries = build_atlas(
         args.max_n,
         el_budget=args.el_budget,
-        out_path=args.out,
         progress=lambda n, total: print(
             f"n={n}: {total} entries so far", file=sys.stderr
         ),
     )
     if args.csv:
         write_csv(args.csv, entries)
-    if not args.out and not args.csv:
-        for entry in entries:
-            print(entry.as_json_line())
+    if args.out or not args.csv:
+        out = args.out or sys.stdout
+        write_atlas(out, entries, max_n=args.max_n, el_budget=args.el_budget)
     return EXIT_OK
 
 
+def _read_atlas(path):
+    return read_atlas(sys.stdin.buffer if path == "-" else path)
+
+
 def cmd_implications(args):
-    _, entries = read_atlas(args.atlas)
+    _, entries = _read_atlas(args.atlas)
     report = check_implications(entries)
     for line in report.summary_lines():
         print(line)
@@ -200,7 +205,7 @@ def cmd_implications(args):
 
 
 def cmd_hunt(args):
-    _, entries = read_atlas(args.atlas)
+    _, entries = _read_atlas(args.atlas)
     report = hunt_questions(entries)
     for line in report.summary_lines():
         print(line)
@@ -257,7 +262,7 @@ def build_parser():
 
     p = add("ideals", cmd_ideals, "write the lattice of down-sets of a poset")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=DEFAULT_IDEAL_CAP)
+    p.add_argument("--cap", type=int, default=MAX_ELEMENTS)
     p.add_argument("--dot", metavar="PATH")
 
     p = add("dual", cmd_dual, "write the dual lattice")

@@ -82,9 +82,9 @@ def covers_as_json(n, covers):
     )
 
 
-def to_dot(poset, name="lattice", labeling=None):
+def to_dot(poset, labeling=None):
     "Hasse diagram in DOT, covers drawn upward; optional edge labels."
-    lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=circle];"]
+    lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=circle];"]
     for v in range(poset.n):
         lines.append(f"  {v};")
     for a, b in poset.covers:

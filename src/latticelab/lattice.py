@@ -29,8 +29,6 @@ from .poset import (
     _check_size,
     _int_rows,
     _minimal_of,
-    _seed_canonical,
-    canonical_relabeling,
 )
 
 
@@ -114,12 +112,6 @@ class Lattice:
             perm[self.bot],
             perm[self.top],
         )
-
-    def canonicalize(self):
-        "Relabeled copy in canonical form; its poset knows it is canonical."
-        L = self.relabel(canonical_relabeling(self.poset))
-        _seed_canonical(L.poset, self.poset)
-        return L
 
 
 def _least_bounds(leq, order):
@@ -225,10 +217,7 @@ def interval(L, a, b):
     return Interval(a, b, sub, tuple(members.tolist()))
 
 
-DEFAULT_IDEAL_CAP = MAX_ELEMENTS
-
-
-def ideal_lattice(p, cap=DEFAULT_IDEAL_CAP):
+def ideal_lattice(p, cap=MAX_ELEMENTS):
     """The lattice of down-closed subsets of poset p, ordered by inclusion.
 
     Join is union and meet is intersection; the result is always

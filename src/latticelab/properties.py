@@ -51,9 +51,6 @@ class Violation:
     kind: str  # "distributive" | "join_semidistributive" | "meet_semidistributive" | "left_modular"
     elements: tuple
 
-    def as_json(self):
-        return {"kind": self.kind, "elements": list(self.elements)}
-
 
 def _violation(kind, a, bad):
     "The Violation at a and the first (b, c) where the bool matrix bad is set."

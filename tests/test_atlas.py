@@ -1,10 +1,18 @@
+import dataclasses
+import hashlib
 import json
+import random
 
 import pytest
 
 from latticelab import zoo
 from latticelab.atlas import (
+    _KEEP_EXAMPLES,
+    ARROWS,
+    ArrowResult,
     AtlasEntry,
+    HuntReport,
+    ImplicationReport,
     build_atlas,
     check_implications,
     entry_lattice,
@@ -16,7 +24,11 @@ from latticelab.atlas import (
     write_csv,
 )
 from latticelab.classify import classify
-from latticelab.errors import AtlasParseError, BoundExceededError
+from latticelab.errors import (
+    AtlasParseError,
+    BoundExceededError,
+    InvariantViolation,
+)
 from latticelab.poset import canonical_form
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
@@ -30,6 +42,15 @@ def test_class_counts_up_to_six_match_the_oracle():
         assert [canonical_form(L.poset) for L in generated] == [
             canonical_form(L.poset) for L in oracle
         ]
+
+
+def test_naive_oracle_raises_what_is_not_a_non_lattice(monkeypatch):
+    def broken(p):
+        raise InvariantViolation("a bug in try_lattice")
+
+    monkeypatch.setattr("latticelab.atlas.try_lattice", broken)
+    with pytest.raises(InvariantViolation):
+        enumerate_lattices_naive(3)
 
 
 def test_class_counts_seven_and_eight():
@@ -94,7 +115,8 @@ def test_build_atlas_rejects_max_n_below_one(max_n):
 
 def test_atlas_roundtrip(tmp_path):
     path = tmp_path / "atlas.jsonl"
-    entries = build_atlas(5, out_path=str(path))
+    entries = build_atlas(5)
+    write_atlas(str(path), entries, max_n=5)
     assert len(entries) == 1 + 1 + 1 + 2 + 5
     header, back = read_atlas(str(path))
     assert header["max_n"] == 5 and header["schema"] == 1
@@ -103,9 +125,21 @@ def test_atlas_roundtrip(tmp_path):
 
 def test_atlas_files_are_byte_identical_across_runs(tmp_path):
     p1, p2 = tmp_path / "a1.jsonl", tmp_path / "a2.jsonl"
-    build_atlas(5, out_path=str(p1))
-    build_atlas(5, out_path=str(p2))
+    write_atlas(str(p1), build_atlas(5), max_n=5)
+    write_atlas(str(p2), build_atlas(5), max_n=5)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_atlas_bytes_up_to_seven_are_pinned(tmp_path):
+    """The .jsonl and .csv bytes of the n <= 7 atlas.  A change that means
+    to alter the .jsonl (say, new EL witnesses) moves only its pin."""
+    entries = build_atlas(7)
+    jsonl, csv = tmp_path / "a7.jsonl", tmp_path / "a7.csv"
+    write_atlas(str(jsonl), entries, max_n=7)
+    write_csv(str(csv), entries)
+    digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    assert digest(jsonl) == "6c2d6879b0b9b286"
+    assert digest(csv) == "39c516fb65d58e29"
 
 
 def test_reclassifying_an_entry_reproduces_its_record():
@@ -253,3 +287,141 @@ def test_atlas_entry_json_is_sorted_and_stable():
     obj = json.loads(line)
     assert list(obj) == sorted(obj)
     assert AtlasEntry.from_json_obj(obj) == entry
+
+
+# ---------------------------------------------------------------------------
+# The grid and the hunt against their former two-scan bodies
+# ---------------------------------------------------------------------------
+
+
+def reference_check_implications(entries):
+    "The grid as one scan per arrow plus a second pass for each witness."
+    names = (
+        "m3",
+        "hexagon",
+        "extremal_not_left_modular",
+        "left_modular_not_semidistributive",
+        "jsd_not_left_modular",
+    )
+    designated_forms = {
+        name: canonical_form(getattr(zoo, name)().poset) for name in names
+    }
+    entries = list(entries)
+    max_n = max((e.n for e in entries), default=0)
+    results = []
+    for arrow in ARROWS:
+        needs_el = "el_shellable" in arrow.premises + (arrow.conclusion,)
+        violations = 0
+        examples = []
+        skipped = 0
+        for entry in entries:
+            record = entry.record
+            if needs_el and record.el_shellable == "unknown":
+                skipped += 1
+                continue
+            if not all(record.flag(p) for p in arrow.premises):
+                continue
+            if record.flag(arrow.conclusion):
+                continue
+            violations += 1
+            if len(examples) < _KEEP_EXAMPLES:
+                examples.append(entry.canonical)
+        designated_found = None
+        if arrow.designated:
+            form = designated_forms[arrow.designated]
+            size = int.from_bytes(form[:4], "big")
+            if size <= max_n:
+                designated_found = any(
+                    e.canonical == form
+                    and all(e.record.flag(p) for p in arrow.premises)
+                    and not e.record.flag(arrow.conclusion)
+                    for e in entries
+                )
+        results.append(
+            ArrowResult(arrow, violations, tuple(examples), skipped, designated_found)
+        )
+    return ImplicationReport(tuple(results), max_n)
+
+
+def reference_hunt_questions(entries):
+    "The hunt as its own filter over the entries."
+    entries = list(entries)
+    scanned = {}
+    not_lm = []
+    not_ext = []
+    unknown = []
+    for entry in entries:
+        scanned[entry.n] = scanned.get(entry.n, 0) + 1
+        record = entry.record
+        if not record.semidistributive:
+            continue
+        if record.el_shellable == "unknown":
+            unknown.append(entry)
+            continue
+        if record.el_shellable != "yes":
+            continue
+        if not record.left_modular:
+            not_lm.append(entry)
+        if not record.extremal:
+            not_ext.append(entry)
+    key = lambda e: (e.n, e.canonical)
+    return HuntReport(
+        tuple(sorted(not_lm, key=key)),
+        tuple(sorted(not_ext, key=key)),
+        tuple(sorted(unknown, key=key)),
+        scanned,
+    )
+
+
+def forged_entries(seed):
+    """The n <= 7 atlas with each boolean flag flipped at random and a
+    random EL status, so every arrow and both questions see violators."""
+    rng = random.Random(seed)
+    out = []
+    for entry in build_atlas(7, el_budget=0):
+        record = entry.record
+        flips = {
+            f.name: not getattr(record, f.name)
+            for f in dataclasses.fields(record)
+            if f.type is bool and rng.random() < 0.3
+        }
+        el = rng.choice(("yes", "no", "unknown"))
+        record = dataclasses.replace(record, el_shellable=el, **flips)
+        out.append(AtlasEntry(entry.n, entry.canonical, record))
+    return out
+
+
+@pytest.fixture(scope="module")
+def grid_entry_sets():
+    forged = forged_entries(14)
+    return {
+        "atlas": build_atlas(7, el_budget=0) + build_atlas(6),
+        "forged": forged,
+        "forged_reversed": forged[::-1],
+    }
+
+
+@pytest.mark.parametrize("which", ["atlas", "forged", "forged_reversed"])
+def test_grid_and_hunt_match_their_references(grid_entry_sets, which):
+    entries = grid_entry_sets[which]
+    want, got = reference_check_implications(entries), check_implications(entries)
+    assert got.max_n == want.max_n
+    for g, w in zip(got.results, want.results, strict=True):
+        assert g == w, w.arrow.arrow_id
+    assert got.summary_lines() == want.summary_lines()
+    want, got = reference_hunt_questions(entries), hunt_questions(entries)
+    for f in dataclasses.fields(HuntReport):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert got.summary_lines() == want.summary_lines()
+
+
+def test_forged_entries_reach_every_branch_of_the_grid(grid_entry_sets):
+    """The forgeries give the comparison above something to compare: hunt
+    candidates of each kind, undecided entries, and witnesses both found
+    and missing."""
+    hunt = reference_hunt_questions(grid_entry_sets["forged"])
+    assert hunt.not_left_modular and hunt.not_extremal and hunt.unknown_el
+    report = reference_check_implications(grid_entry_sets["forged"])
+    found = {r.designated_found for r in report.results if r.arrow.designated}
+    assert {True, False} <= found
+    assert any(r.violations > _KEEP_EXAMPLES for r in report.results)

@@ -206,10 +206,10 @@ def test_seeded_memo_equals_a_fresh_search():
     rng = random.Random(7)
     for L in enumerate_lattices(7):
         M = L.relabel(random_perm(L.n, rng))
-        for q in (canonicalize(M.poset), M.canonicalize().poset):
-            assert canonical_relabeling(q) == canonical_relabeling(fresh(q))
-            assert canonical_form(q) == canonical_form(fresh(q))
-            assert canonical_form(q) == canonical_form(L.poset)
+        q = canonicalize(M.poset)
+        assert canonical_relabeling(q) == canonical_relabeling(fresh(q))
+        assert canonical_form(q) == canonical_form(fresh(q))
+        assert canonical_form(q) == canonical_form(L.poset)
 
 
 def test_search_runs_once_per_poset(monkeypatch):

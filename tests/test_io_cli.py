@@ -294,6 +294,40 @@ def test_cli_atlas_implications_hunt(tmp_path, capsys):
     assert "scanned: 10 lattices" in out
 
 
+def test_cli_atlas_prints_the_file_it_would_write(tmp_path, capsys):
+    path = tmp_path / "atlas.jsonl"
+    assert main(["atlas", "--max-n", "5", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["atlas", "--max-n", "5"]) == 0
+    assert capsys.readouterr().out.encode() == path.read_bytes()
+
+
+def _stdin(monkeypatch, data):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+
+
+@pytest.mark.parametrize("command", ["hunt", "implications"])
+def test_cli_atlas_pipes_into_hunt_and_implications(
+    tmp_path, capsys, monkeypatch, command
+):
+    path = tmp_path / "atlas.jsonl"
+    assert main(["atlas", "--max-n", "5", "--out", str(path)]) == 0
+    assert main(["atlas", "--max-n", "5"]) == 0
+    printed = capsys.readouterr().out.encode()
+    assert main([command, str(path)]) == 0
+    want = capsys.readouterr().out
+    _stdin(monkeypatch, printed)
+    assert main([command, "-"]) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("command", ["hunt", "implications"])
+def test_cli_non_utf8_atlas_on_stdin_names_the_line(capsys, monkeypatch, command):
+    _stdin(monkeypatch, b"\xff\xfe{}\n")
+    assert main([command, "-"]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1:")
+
+
 def test_cli_nonlattice_input_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "anti.lat"
     path.write_text("2\n")

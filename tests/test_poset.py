@@ -1,4 +1,5 @@
 import collections
+import inspect
 import random
 import time
 
@@ -15,7 +16,7 @@ from latticelab.errors import (
     LatticeError,
     NotReducedError,
 )
-from latticelab.lattice import DEFAULT_IDEAL_CAP
+from latticelab.lattice import ideal_lattice
 from latticelab.poset import (
     MAX_ELEMENTS,
     FinitePoset,
@@ -183,7 +184,8 @@ def test_relabel_identity_and_validation():
 
 
 def test_element_count_is_bounded_before_allocation():
-    assert MAX_ELEMENTS == DEFAULT_IDEAL_CAP == 4096
+    cap = inspect.signature(ideal_lattice).parameters["cap"].default
+    assert MAX_ELEMENTS == cap == 4096
     for n in (MAX_ELEMENTS + 1, 10**9, -3):
         with pytest.raises(BoundExceededError, match=f"element count {n}"):
             poset_from_covers(n, [(0, 1)])

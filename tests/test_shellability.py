@@ -17,7 +17,7 @@ from latticelab.errors import (
 )
 from latticelab.irreducibles import _cover_paths, gamma, join_irreducibles
 from latticelab.lattice import Lattice, dual, ideal_lattice
-from latticelab.poset import canonical_relabeling, poset_from_covers
+from latticelab.poset import FinitePoset, canonical_relabeling, poset_from_covers
 from latticelab.properties import left_modular_chain
 from latticelab.shellability import (
     PRUNE_RULES,
@@ -637,7 +637,7 @@ def test_el_search_does_not_depend_on_element_names(small_lattices):
 
 
 def test_el_search_plans_on_the_lattice_it_is_given(small_lattices, monkeypatch):
-    """No relabeled copy: with Lattice.relabel and Lattice.canonicalize
+    """No relabeled copy: with Lattice.relabel and FinitePoset.relabel
     disabled, a renamed lattice gets the canonical lattice's search."""
     rng = random.Random(29)
     renamed = [(L, L.relabel(rng.sample(range(L.n), L.n))) for L in small_lattices]
@@ -646,7 +646,7 @@ def test_el_search_plans_on_the_lattice_it_is_given(small_lattices, monkeypatch)
         raise AssertionError("el_search made a relabeled copy")
 
     monkeypatch.setattr(Lattice, "relabel", no_copy)
-    monkeypatch.setattr(Lattice, "canonicalize", no_copy)
+    monkeypatch.setattr(FinitePoset, "relabel", no_copy)
     for L, M in renamed:
         want, got = el_search(L), el_search(M)
         assert (got.status, got.nodes, got.passes) == (
