@@ -17,7 +17,6 @@ from .classify import ClassificationRecord, classify
 from .errors import (
     AtlasParseError,
     BoundExceededError,
-    InvariantViolation,
     NotALatticeError,
     NotReducedError,
 )
@@ -25,6 +24,7 @@ from .lattice import try_lattice
 from .poset import (
     FinitePoset,
     _int_rows,
+    _seed_canonical,
     canonical_form,
     canonicalize,
     poset_from_canonical,
@@ -65,23 +65,27 @@ def _down_set_extensions(p):
     ]
 
 
-def _extend_with_maximal(p, members):
-    "p plus one new maximal element whose strict down-set is `members`."
-    return transitive_reduce(p.n + 1, [*p.covers, *((x, p.n) for x in members)])
-
-
 @lru_cache(maxsize=None)
 def _meet_closed_posets(k):
-    """All k-element meet-closed posets up to isomorphism, by canonical form:
-    each as built, not relabeled, minus the caches its search filled."""
+    """All k-element meet-closed posets q up to isomorphism, as (form, q)
+    pairs sorted by the canonical form of the lattice q plus a top.
+
+    Each candidate is built with its top, the new maximal element over
+    `members` and the top last.  Its one canonical search rejects isomorphs
+    (q is the lattice minus its only maximum) and labels the lattice that
+    enumerate_lattices decodes."""
     if k == 0:
-        return (transitive_reduce(0, []),)
+        top = transitive_reduce(1, [])
+        return ((canonical_form(top), transitive_reduce(0, [])),)
     found = {}
-    for p in _meet_closed_posets(k - 1):
+    for _, p in _meet_closed_posets(k - 1):
         for members in _down_set_extensions(p):
-            q = _extend_with_maximal(p, members)
-            found.setdefault(canonical_form(q), q)
-    return tuple(FinitePoset(q.n, q.covers, q.leq) for _, q in sorted(found.items()))
+            pairs = [*p.covers, *((x, p.n) for x in members)]
+            L = transitive_reduce(k + 1, pairs + [(x, k) for x in range(k)])
+            covers = [c for c in L.covers if c[1] < k]
+            form = canonical_form(L)
+            found.setdefault(form, FinitePoset(k, covers, L.leq[:k, :k]))
+    return tuple(sorted(found.items()))
 
 
 def _check_practical(n):
@@ -94,18 +98,13 @@ def _check_practical(n):
 
 
 def enumerate_lattices(n):
-    """All isomorphism classes of n-element lattices, canonically labeled,
-    sorted by canonical form.  Every class appears exactly once."""
+    """All isomorphism classes of n-element lattices, each once, sorted by
+    canonical form and decoded from it: canonically labeled, no search."""
     _check_practical(n)
-    out = []
-    for p in _meet_closed_posets(n - 1):
-        poset = canonicalize(_extend_with_maximal(p, range(p.n)))
-        out.append((canonical_form(poset), poset))
-    out.sort(key=lambda item: item[0])
-    forms = [f for f, _ in out]
-    if len(set(forms)) != len(forms):
-        raise InvariantViolation("duplicate isomorphism class in enumeration")
-    return [try_lattice(p) for _, p in out]
+    return [
+        try_lattice(_seed_canonical(poset_from_canonical(form), form))
+        for form, _ in _meet_closed_posets(n - 1)
+    ]
 
 
 def enumerate_lattices_naive(n):
@@ -115,8 +114,7 @@ def enumerate_lattices_naive(n):
     sets with lower < upper hits every isomorphism class.  Exponential in
     n(n-1)/2; guarded to small n.
     """
-    if n < 1:
-        raise BoundExceededError(f"n must be at least 1, got {n}")
+    _check_practical(n)
     if n > _NAIVE_MAX_N:
         raise BoundExceededError(
             f"naive enumeration is capped at n <= {_NAIVE_MAX_N}"
@@ -130,8 +128,8 @@ def enumerate_lattices_naive(n):
             try_lattice(p)
         except (NotReducedError, NotALatticeError):
             continue
-        found.setdefault(canonical_form(p), canonicalize(p))
-    return [try_lattice(found[f]) for f in sorted(found)]
+        found.setdefault(canonical_form(p), p)
+    return [try_lattice(canonicalize(found[f])) for f in sorted(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +165,8 @@ class AtlasEntry:
                     raise TypeError(f"{f.name} is not {f.type.__name__}")
         if entry.record.el_shellable not in ("yes", "no", "unknown"):
             raise ValueError(f"el_shellable {entry.record.el_shellable!r}")
+        if int.from_bytes(entry.canonical[:4], "big") != entry.n:
+            raise ValueError(f"canonical form is not of size n={entry.n}")
         return entry
 
 

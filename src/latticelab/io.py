@@ -75,13 +75,6 @@ def format_covers(n, covers):
     return "\n".join(lines) + "\n"
 
 
-def covers_as_json(n, covers):
-    return json.dumps(
-        {"covers": [list(c) for c in sorted(covers)], "n": n},
-        sort_keys=True,
-    )
-
-
 def to_dot(poset, labeling=None):
     "Hasse diagram in DOT, covers drawn upward; optional edge labels."
     lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=circle];"]

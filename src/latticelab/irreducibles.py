@@ -22,9 +22,6 @@ class JoinIrreducible:
     j: int
     j_star: int  # the unique lower cover
 
-    def __iter__(self):  # allows tuple-unpacking (j, j_star)
-        return iter((self.j, self.j_star))
-
 
 def join_irreducibles(L):
     "Elements covering exactly one thing, paired with that lower cover."

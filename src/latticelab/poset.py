@@ -9,6 +9,7 @@ when b is not strictly above another successor of a.
 """
 
 from functools import cached_property
+from math import isqrt
 from operator import index
 
 import numpy as np
@@ -17,6 +18,7 @@ from .errors import (
     BoundExceededError,
     CycleError,
     DuplicatePairError,
+    FormatError,
     InvalidCoverError,
     NotReducedError,
 )
@@ -361,37 +363,47 @@ def canonical_form(p):
     return p._canonical[1]
 
 
-def _seed_canonical(q, p):
-    """Record on q, the canonical relabeling of p, that it is canonical.
+def _seed_canonical(q, form):
+    """Record on q, a canonically labeled poset, that form is its canonical
+    form.
 
     On a canonically labeled poset the search's first leaf is the identity
     path and no leaf is strictly smaller, so its result would be the
-    identity and p's form.
+    identity and form.  Seed only a form the search computed: a form read
+    from a file need not be canonical, so entry_lattice does not seed.
     """
-    q.__dict__["_canonical"] = (tuple(range(q.n)), canonical_form(p))
+    q.__dict__["_canonical"] = (tuple(range(q.n)), form)
     return q
 
 
 def poset_from_canonical(form):
-    "Inverse of canonical_form: rebuild the canonically labeled poset."
+    """Inverse of canonical_form: rebuild the canonically labeled poset.
+
+    The size is checked before anything is allocated; a form whose length
+    or pad bits do not match its size raises FormatError.
+    """
     n = int.from_bytes(form[:4], "big")
+    _check_size(n)
+    width = n * (n - 1)
+    if len(form) != 4 + (width + 7) // 8:
+        raise FormatError(f"canonical form of size {n} has {len(form)} bytes")
     flat = np.unpackbits(np.frombuffer(form[4:], dtype=np.uint8))
-    cover = np.zeros((n, n), dtype=bool)
-    pos = 0
-    for s in range(n):
-        for t in range(s):
-            cover[t, s] = flat[pos]
-            pos += 1
-        for t in range(s):
-            cover[s, t] = flat[pos]
-            pos += 1
-    pairs = [(int(a), int(b)) for a, b in zip(*np.nonzero(cover))]
-    return poset_from_covers(n, pairs)
+    if flat[width:].any():
+        raise FormatError(f"canonical form of size {n} has nonzero pad bits")
+    # Slot s holds 2s bits from bit s(s-1) on: t covered by s for t < s,
+    # then s covered by t, so bit i belongs to s = (1 + isqrt(4i + 1)) // 2.
+    pairs = []
+    for i in np.flatnonzero(flat).tolist():
+        s = (1 + isqrt(4 * i + 1)) // 2
+        t = i - s * (s - 1)
+        pairs.append((t, s) if t < s else (s, t - s))
+    return poset_from_covers(n, sorted(pairs))
 
 
 def canonicalize(p):
     "Relabeled copy of p in canonical form."
-    return _seed_canonical(p.relabel(canonical_relabeling(p)), p)
+    perm, form = p._canonical
+    return _seed_canonical(p.relabel(perm), form)
 
 
 def is_isomorphic(p, q):

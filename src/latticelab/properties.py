@@ -173,21 +173,6 @@ def _left_modular_at(L, a, lower, upper):
     return bool((lhs == rhs).all())
 
 
-def left_modular_element_violation(L, a):
-    "First pair b < c with (b v a) ^ c != b v (a ^ c), or None."
-    if _left_modular_at(L, a, *_cover_arrays(L)):
-        return None
-    strict = L.leq & ~np.eye(L.n, dtype=bool)
-    lhs = L.meet[L.join[:, a]]        # rows: b, cols: c
-    rhs = L.join[:, L.meet[a]]
-    bad = strict & (lhs != rhs)
-    if not bad.any():
-        raise InvariantViolation(
-            f"{a} fails the left-modular law on a cover of {L!r} but on no pair"
-        )
-    return _violation("left_modular", a, bad)
-
-
 def left_modular_elements(L):
     "All elements a with (b v a) ^ c = b v (a ^ c) whenever b < c."
     lower, upper = _cover_arrays(L)

@@ -42,6 +42,7 @@ def test_class_counts_up_to_six_match_the_oracle():
         assert [canonical_form(L.poset) for L in generated] == [
             canonical_form(L.poset) for L in oracle
         ]
+        assert [L.covers for L in generated] == [L.covers for L in oracle]
 
 
 def test_naive_oracle_raises_what_is_not_a_non_lattice(monkeypatch):
@@ -74,6 +75,15 @@ def test_enumerated_lattices_are_canonical_and_distinct():
             assert canonicalize(L.poset) == L.poset
             forms.add(canonical_form(L.poset))
         assert len(forms) == EXPECTED_COUNTS[n]
+
+
+def test_entry_lattice_searches_a_form_read_from_a_file():
+    "A valid form that is not canonical is decoded, not trusted."
+    record = classify(zoo.chain(1))
+    entry = AtlasEntry(n=2, canonical=bytes.fromhex("0000000240"), record=record)
+    L = entry_lattice(entry)  # the 2-chain written as 1 < 0
+    assert L.covers == ((1, 0),)
+    assert canonical_form(L.poset) == bytes.fromhex("0000000280")
 
 
 def test_fixtures_appear_in_the_atlas():

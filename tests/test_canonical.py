@@ -147,8 +147,7 @@ def shuffled(p, rng):
 
 
 # Digests of the concatenated canonical forms of enumerate_lattices(n),
-# fixed by the recursive search (n = 9 gives c61f84549f6cbce0; too slow
-# here).
+# fixed by the recursive search.
 FORM_DIGESTS = {
     1: "b40711a88c703975",
     2: "865c4463e1a74b48",
@@ -158,6 +157,7 @@ FORM_DIGESTS = {
     6: "d6dcaf3dee82c4bf",
     7: "1060997269a5bae0",
     8: "f2553b2c05aed6c7",
+    9: "c61f84549f6cbce0",
 }
 
 
@@ -170,7 +170,7 @@ def test_canonical_forms_are_byte_identical(n):
 def test_search_matches_the_recursive_reference():
     rng = random.Random(3)
     posets = [L.poset for n in range(1, 9) for L in enumerate_lattices(n)]
-    posets += [p for k in range(1, 8) for p in _meet_closed_posets(k)]
+    posets += [p for k in range(1, 8) for _, p in _meet_closed_posets(k)]
     assert len(posets) == 300 + 299
     for p in posets:
         for _ in range(2):
@@ -227,6 +227,25 @@ def test_search_runs_once_per_poset(monkeypatch):
     assert calls == [p]
 
 
+def test_enumeration_searches_once_per_candidate(monkeypatch):
+    """One search per candidate of levels 0..7 (695), plus at most one for
+    the one-element base; the returned lattices are decoded, not searched."""
+    import latticelab.poset as poset_module
+
+    calls = []
+    search = poset_module._canonical_search
+    monkeypatch.setattr(
+        poset_module, "_canonical_search", lambda p: calls.append(p) or search(p)
+    )
+    _meet_closed_posets.cache_clear()
+    lattices = [L for n in range(1, 9) for L in enumerate_lattices(n)]
+    assert 695 <= len(calls) <= 696
+    searched = len(calls)
+    for L in lattices:
+        canonical_relabeling(L.poset), canonical_form(L.poset)
+    assert len(calls) == searched
+
+
 def test_long_chain_without_recursion():
     n = 1500
     leq = np.triu(np.ones((n, n), dtype=bool))
@@ -242,5 +261,5 @@ def test_long_chain_without_recursion():
 
 def test_down_set_extensions_match_the_reference():
     for k in range(1, 8):
-        for p in _meet_closed_posets(k):
+        for _, p in _meet_closed_posets(k):
             assert _down_set_extensions(p) == reference_down_set_extensions(p)

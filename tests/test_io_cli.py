@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from latticelab import zoo
 from latticelab.cli import main
 from latticelab.errors import FormatError, LatticeError
-from latticelab.io import covers_as_json, format_covers, parse_covers, to_dot
+from latticelab.io import format_covers, parse_covers, to_dot
 from latticelab.lattice import try_lattice
 from latticelab.poset import poset_from_covers
 
@@ -126,7 +126,8 @@ def test_format_roundtrip():
 
 def test_covers_json_roundtrip():
     L = zoo.m3()
-    n, pairs = parse_covers(covers_as_json(L.n, L.covers))
+    text = json.dumps({"covers": [list(c) for c in L.covers], "n": L.n})
+    n, pairs = parse_covers(text)
     assert (n, tuple(pairs)) == (L.n, L.covers)
 
 
@@ -446,7 +447,12 @@ def test_cli_atlas_rejects_max_n_below_one_at_once(tmp_path, capsys, max_n):
 @pytest.mark.parametrize("command", ["hunt", "implications"])
 @pytest.mark.parametrize(
     "field, value",
-    [("n", True), ("length", True), ("el_shellable", "maybe")],
+    [
+        ("n", True),
+        ("length", True),
+        ("el_shellable", "maybe"),
+        ("canonical", "0000000380"),  # a 3-chain's form on an n=2 line
+    ],
 )
 def test_cli_rejects_a_forged_atlas_value(tmp_path, capsys, command, field, value):
     from latticelab.atlas import build_atlas, write_atlas
@@ -455,7 +461,7 @@ def test_cli_rejects_a_forged_atlas_value(tmp_path, capsys, command, field, valu
     write_atlas(str(path), build_atlas(3))
     lines = path.read_text().splitlines()
     obj = json.loads(lines[2])
-    (obj if field == "n" else obj["record"])[field] = value
+    (obj if field in ("n", "canonical") else obj["record"])[field] = value
     lines[2] = json.dumps(obj)
     path.write_text("\n".join(lines) + "\n")
     assert main([command, str(path)]) == 2

@@ -12,6 +12,7 @@ from latticelab.errors import (
     BoundExceededError,
     CycleError,
     DuplicatePairError,
+    FormatError,
     InvalidCoverError,
     LatticeError,
     NotReducedError,
@@ -164,6 +165,21 @@ def test_canonical_form_roundtrip():
         assert back == canonicalize(L.poset)
 
 
+@pytest.mark.parametrize(
+    "form",
+    [
+        b"\x00\x00\x00\x05",  # no body
+        b"\x00\x00\x00",  # no full header
+        bytes.fromhex("000000028000"),  # a trailing byte
+        bytes.fromhex("0000000281"),  # a pad bit set
+    ],
+    ids=["no body", "short header", "trailing byte", "pad bit"],
+)
+def test_malformed_canonical_form_is_rejected(form):
+    with pytest.raises(FormatError):
+        poset_from_canonical(form)
+
+
 def test_canonical_output_places_bottom_first():
     for L in zoo.fixture_lattices().values():
         q = canonicalize(L.poset)
@@ -191,6 +207,9 @@ def test_element_count_is_bounded_before_allocation():
             poset_from_covers(n, [(0, 1)])
         with pytest.raises(BoundExceededError, match=f"element count {n}"):
             transitive_reduce(n, [(0, 1)])
+    for header in (b"\x00\x00\x10\x01", b"\xff\xff\xff\xff"):
+        with pytest.raises(BoundExceededError, match="element count"):
+            poset_from_canonical(header)
     assert poset_from_covers(0, []).n == 0
 
 
