@@ -5,10 +5,14 @@ trading O(n^2) memory for O(1) queries.  Like FinitePoset, a Lattice never
 mutates after construction.
 
 try_lattice finds and validates joins and meets with one routine,
-_least_bounds: each up-set is a bitset over a linear extension, the
-lowest bit of two up-sets' intersection is a minimal common upper bound,
-and it is the join exactly when the intersection is its own up-set.
-Meets are the same routine on the reversed order and extension.
+_least_bounds: each up-set is a bitset of 64-bit words over a linear
+extension, the lowest bit of two up-sets' intersection is a minimal
+common upper bound, and it is the join exactly when the intersection has
+as many bits as its own up-set.  The table is built in numpy a block of
+rows at a time, each against the columns from its first row on, so that
+a block's temporaries hold at most _BLOCK cells and the blocks, taken in
+order, meet the first pair without a join first.  Meets are the same
+routine on the reversed order and extension.
 """
 
 from functools import cached_property, reduce
@@ -30,6 +34,10 @@ from .poset import (
     _int_rows,
     _minimal_of,
 )
+
+# Cells per block of the whole-table kernels here and in properties; bounds
+# their temporaries to a megabyte or two.
+_BLOCK = 1 << 15
 
 
 class Lattice:
@@ -114,27 +122,61 @@ class Lattice:
         )
 
 
+def _up_words(rows):
+    """Each row of a bool matrix as ceil(n/64) uint64 words, word-major:
+    bit i of words[k, x] is rows[x, 64k + i]."""
+    n = len(rows)
+    bits = np.packbits(rows, axis=1, bitorder="little")
+    padded = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)
+    padded[:, : bits.shape[1]] = bits
+    return np.ascontiguousarray(padded.view("<u8").T, dtype=np.uint64)
+
+
 def _least_bounds(leq, order):
     """(table, first_bad): least upper bounds under leq, as int32, filled
-    row by row until the first pair (a, b), a <= b in row-major order,
-    that has none (first_bad is None when every pair has one).
+    by blocks of rows until the block holding the first pair (a, b),
+    a <= b in row-major order, that has none (first_bad is None when
+    every pair has one).  Every pair needs a common upper bound.
 
-    Up-sets are ints whose bit i stands for order[i], a linear extension.
+    Up-sets are uint64 words whose bit i stands for order[i], a linear
+    extension.  A block of rows [r0, r1) meets the columns [r0, n), the
+    upper triangle plus its mirror inside the block, so the first
+    failing cell of the block in row-major order is the pair sought.
+    With n <= MAX_ELEMENTS, counts fit uint16 and word indices uint8.
     """
     n = len(order)
-    up = _int_rows(leq[:, order])
+    order = np.asarray(order, dtype=np.intp)
+    size = leq.sum(axis=1, dtype=np.int32)  # |up(x)|
+    up = _up_words(np.take(leq, order, axis=1))
+    position = np.argsort(order)  # up(x) has no bit below position[x]
     table = np.empty((n, n), dtype=np.int32)
-    for a in range(n):
-        up_a = up[a]
-        row = []
-        for b in range(a, n):
-            common = up_a & up[b]
-            u = order[(common & -common).bit_length() - 1]
-            if up[u] != common:
-                return table, (a, b)
-            row.append(u)
-        table[a, a:] = row
-        table[a:, a] = row
+    r0 = 0
+    while r0 < n:
+        r1 = min(n, r0 + max(1, _BLOCK // (n - r0)))
+        shape = (r1 - r0, n - r0)
+        lo = position[r0:r1].min() // 64  # no row has a bit below word lo
+        common = np.empty(shape, dtype=np.uint64)
+        bits = np.empty(shape, dtype=np.uint8)
+        count = np.zeros(shape, dtype=np.uint16)  # |up(a) & up(b)|
+        word = np.full(shape, lo, dtype=np.uint8)  # its first nonzero word
+        empty = np.ones(shape, dtype=bool)  # no nonzero word yet
+        for k in range(lo, len(up)):
+            np.bitwise_and(up[k, r0:r1, None], up[k, None, r0:], out=common)
+            np.bitwise_count(common, out=bits)
+            count += bits
+            empty &= bits == 0
+            word += empty
+        word = word.astype(np.intp)
+        first = up[word, np.arange(r0, r1)[:, None]] & up[word, np.arange(r0, n)]
+        low = np.bitwise_count((first & -first) - 1)  # trailing zeros
+        bound = order[64 * word + low]  # a minimal common upper bound
+        bad = size[bound] != count  # the join exactly when up(bound) is common
+        if bad.any():
+            i, j = divmod(int(bad.argmax()), n - r0)
+            return table, (r0 + i, r0 + j)
+        table[r0:r1, r0:] = bound
+        table[r0:, r0:r1] = bound.T
+        r0 = r1
     return table, None
 
 
@@ -149,11 +191,11 @@ def try_lattice(p):
     leq = p.leq
     if n == 0:
         raise NoBottom("empty poset has no bottom")
-    tops = [x for x in range(n) if leq[:, x].all()]
-    if not tops:
+    tops = np.flatnonzero(leq.all(axis=0))
+    if not len(tops):
         raise NoTop("no element above all others")
-    bots = [x for x in range(n) if leq[x, :].all()]
-    if not bots:
+    bots = np.flatnonzero(leq.all(axis=1))
+    if not len(bots):
         raise NoBottom("no element below all others")
 
     # Meets are the joins of the reversed order, along the reversed extension.
@@ -166,7 +208,7 @@ def try_lattice(p):
         (a, b), error, rel = min(failures, key=lambda f: f[0])
         bounds = np.flatnonzero(rel[a] & rel[b]).tolist()
         raise error(a, b, _minimal_of(rel, bounds))
-    return Lattice(p, join, meet, bots[0], tops[0])
+    return Lattice(p, join, meet, int(bots[0]), int(tops[0]))
 
 
 def dual(L):

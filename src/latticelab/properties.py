@@ -11,8 +11,9 @@ than a scan of every triple:
   down-set exactly when it is closed under adding one minimal missing j,
   such a j is minimal exactly when j_* <= x, and the only candidate for
   the new image is x v j.
-* Left modularity of an element a, in O(m) for m covers.  a is left
-  modular exactly when (b v a) ^ c = b v (a ^ c) on every cover b < c.
+* Left modularity, in O(n * m) table lookups for m covers, made for a
+  block of elements at a time.  a is left modular exactly when
+  (b v a) ^ c = b v (a ^ c) on every cover b < c.
   Proof: a failure at y < z gives y' = y v (a ^ z) < z' = (y v a) ^ z
   with a ^ y' = a ^ z' and a v y' = a v z', and every cover y' < w <= z'
   inherits both equalities, so the law fails on that cover.
@@ -42,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lattice
 from .errors import InvariantViolation
 from .irreducibles import length
 
@@ -166,17 +168,24 @@ def _fiber_covers(L, up):
     return packed[:m], packed[m:2 * m], packed[2 * m:-L.n], packed[-L.n:]
 
 
-def _left_modular_at(L, a, lower, upper):
-    "Whether (b v a) ^ c = b v (a ^ c) on every cover b < c in (lower, upper)."
-    lhs = L.meet[L.join[lower, a], upper]
-    rhs = L.join[lower, L.meet[a, upper]]
-    return bool((lhs == rhs).all())
-
-
 def left_modular_elements(L):
-    "All elements a with (b v a) ^ c = b v (a ^ c) whenever b < c."
+    """All elements a with (b v a) ^ c = b v (a ^ c) whenever b < c,
+    decided on every cover b < c for a block of elements at once.  The
+    tables are read flat, [x, y] at x * n + y, in int32 (n * n < 2**31)."""
+    n = L.n
     lower, upper = _cover_arrays(L)
-    return [a for a in range(L.n) if _left_modular_at(L, a, lower, upper)]
+    lower_at = (lower * n).astype(np.int32)
+    upper_at = upper.astype(np.int32)
+    join, meet = L.join.ravel(), L.meet.ravel()
+    step = max(1, lattice._BLOCK // max(1, len(lower)))
+    found = []
+    for a0 in range(0, n, step):
+        rows = slice(a0, a0 + step)
+        # take, not [rows, lower]: mixed indexing returns a transposed layout
+        lhs = meet.take(L.join[rows].take(lower, axis=1) * n + upper_at)
+        rhs = join.take(L.meet[rows].take(upper, axis=1) + lower_at)
+        found += (a0 + np.flatnonzero((lhs == rhs).all(axis=1))).tolist()
+    return found
 
 
 def _left_modular_set(L):

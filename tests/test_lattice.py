@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import latticelab.lattice
 from latticelab import zoo
 from latticelab.atlas import enumerate_lattices
 from latticelab.errors import (
@@ -150,6 +151,46 @@ def test_try_lattice_matches_reference_on_random_posets():
         assert got == outcome(reference_try_lattice, p), p
         kinds.add(got[0])
     assert {NoBottom, NoTop, NoUniqueJoin, NoUniqueMeet} < kinds
+
+
+def test_try_lattice_matches_reference_in_tiny_blocks(monkeypatch):
+    # Five cells a block: most blocks are one row, the last ones a few.
+    monkeypatch.setattr(latticelab.lattice, "_BLOCK", 5)
+    test_try_lattice_matches_reference_on_every_lattice_up_to_8()
+    test_try_lattice_matches_reference_on_random_posets()
+
+
+def glued(L, s):
+    """L plus x, y, z with bot < x, y < s and x, y < z < top, for s neither
+    bot nor top: x v y has the minimal upper bounds s and z, and z ^ t the
+    maximal lower bounds x and y for every t >= s but the top."""
+    x, y, z = range(L.n, L.n + 3)
+    covers = list(L.covers) + [(L.bot, x), (L.bot, y), (x, s), (y, s)]
+    covers += [(x, z), (y, z), (z, L.top)]
+    return transitive_reduce(L.n + 3, covers)
+
+
+def test_try_lattice_matches_reference_past_the_first_word(monkeypatch):
+    """Lattices of 128-300 elements and non-lattices made from them, whose
+    failing pairs have their bounds in the second or a later 64-bit word,
+    in the default blocks and in one-row blocks.  Each is relabeled by
+    v -> 63 - v mod n, which sends the glued x, y, z to 66, 65, 64 and so
+    puts the first failing pair in row 64, and once at random."""
+    rng = random.Random(16)
+    B7, chain = zoo.boolean(7), zoo.chain(130)
+    lattices = [B7.poset, chain.poset, zoo.chain(299).poset]
+    non_lattices = [glued(B7, B7.coatoms[0]), glued(chain, 100)]
+    for block in (latticelab.lattice._BLOCK, 5):
+        monkeypatch.setattr(latticelab.lattice, "_BLOCK", block)
+        for p in lattices + non_lattices:
+            n = p.n
+            mirror = p.relabel([(63 - v) % n for v in range(n)])
+            if p in non_lattices:
+                with pytest.raises(NotALatticeError) as err:
+                    try_lattice(mirror)
+                assert err.value.a == 64
+            for q in (mirror, p.relabel(rng.sample(range(n), n))):
+                assert outcome(try_lattice, q) == outcome(reference_try_lattice, q)
 
 
 def test_hexagon_is_lattice():

@@ -156,17 +156,28 @@ def test_classify_tests_each_element_for_left_modularity_once(monkeypatch):
     import latticelab.properties as properties
 
     calls = []
-    check = properties._left_modular_at
+    decide = properties.left_modular_elements
     monkeypatch.setattr(
         properties,
-        "_left_modular_at",
-        lambda L, a, *covers: calls.append(a) or check(L, a, *covers),
+        "left_modular_elements",
+        lambda L: calls.append(decide(L)) or calls[-1],
     )
     for L in (zoo.chain(30), zoo.boolean(3), zoo.m3()):
         calls.clear()
         record = classify(L)
         assert record.left_modular and record.el_shellable == "yes"
-        assert sorted(calls) == list(range(L.n))
+        assert calls == [list(range(L.n))]
+
+
+def test_left_modular_elements_match_the_reference_in_tiny_blocks(monkeypatch):
+    import latticelab.lattice
+
+    # Five cells a block: one element a block, or a few on few covers.
+    monkeypatch.setattr(latticelab.lattice, "_BLOCK", 5)
+    for n in range(1, 8):
+        for L in enumerate_lattices(n):
+            for M in (L, dual(L)):
+                assert left_modular_elements(M) == reference_left_modular_elements(M)
 
 
 def test_ideal_lattice_is_distributive():
