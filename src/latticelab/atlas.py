@@ -1,9 +1,9 @@
 """Exhaustive catalog of small lattices and the implication grid over it.
 
 Enumeration up to isomorphism runs two ways.  The production generator
-grows meet-closed posets one maximal element at a time (a lattice minus
-its top is exactly such a poset, and deleting any maximal element of one
-leaves another), rejecting isomorphs by canonical form.  The naive oracle
+grows lattices one coatom at a time (a lattice minus a coatom is a
+lattice, so each class is a smaller one with a new element right under
+its top), rejecting isomorphs by canonical form.  The naive oracle
 filters all upper-triangular cover sets and exists only to cross-check
 the generator at small sizes.
 """
@@ -22,7 +22,6 @@ from .errors import (
 )
 from .lattice import try_lattice
 from .poset import (
-    FinitePoset,
     _int_rows,
     _seed_canonical,
     canonical_form,
@@ -44,48 +43,51 @@ _KEEP_EXAMPLES = 5  # counterexamples kept per arrow of the grid
 # ---------------------------------------------------------------------------
 
 
-def _down_set_extensions(p):
-    """Down-sets D of p such that adding a new maximal element above D
-    keeps every pairwise meet defined (D cut below any element must have a
-    single maximal member).
+def _down_set_extensions(L):
+    """Down-sets D of L minus its top such that a new element above D and
+    right under the top keeps L a lattice: D cut below any element but
+    the top must have a single maximal member.
 
-    Sets are bitmasks over the elements, scanned in increasing order.  A
-    set D qualifies exactly when D cut below every element is a principal
-    down-set: the cut below a member x is then the down-set of x, so D is
-    down-closed, and a down-set has a single maximal member exactly when
-    it is the down-set of that member.
+    Sets are bitmasks over the elements without the top's bit, scanned in
+    increasing order.  A set D qualifies exactly when D cut below every
+    element but the top is a principal down-set: the cut below a member x
+    is then the down-set of x, so D is down-closed, and a down-set has a
+    single maximal member exactly when it is the down-set of that member.
     """
-    n = p.n
-    principal = _int_rows(p.leq.T)
+    n, top = L.n, L.top
+    rows = _int_rows(L.leq.T)
+    principal = rows[:top] + rows[top + 1:]
     principal_set = set(principal)
+    masks = (m + (m >> top << top) for m in range(1 << (n - 1)))  # skip top's bit
     return [
         frozenset(x for x in range(n) if mask >> x & 1)
-        for mask in range(1 << n)
+        for mask in masks
         if all(mask & down in principal_set for down in principal)
     ]
 
 
 @lru_cache(maxsize=None)
-def _meet_closed_posets(k):
-    """All k-element meet-closed posets q up to isomorphism, as (form, q)
-    pairs sorted by the canonical form of the lattice q plus a top.
+def _lattices(n):
+    """All n-element lattices up to isomorphism, canonically labeled and
+    sorted by canonical form.
 
-    Each candidate is built with its top, the new maximal element over
-    `members` and the top last.  Its one canonical search rejects isomorphs
-    (q is the lattice minus its only maximum) and labels the lattice that
-    enumerate_lattices decodes."""
-    if k == 0:
-        top = transitive_reduce(1, [])
-        return ((canonical_form(top), transitive_reduce(0, [])),)
-    found = {}
-    for _, p in _meet_closed_posets(k - 1):
-        for members in _down_set_extensions(p):
-            pairs = [*p.covers, *((x, p.n) for x in members)]
-            L = transitive_reduce(k + 1, pairs + [(x, k) for x in range(k)])
-            covers = [c for c in L.covers if c[1] < k]
-            form = canonical_form(L)
-            found.setdefault(form, FinitePoset(k, covers, L.leq[:k, :k]))
-    return tuple(sorted(found.items()))
+    Each candidate is an (n-1)-element lattice with a new element n-1
+    right under its top, above a down-set from _down_set_extensions.  Its
+    one canonical search rejects isomorphs, and each class is decoded
+    from its form once, seeded so that it is never searched again."""
+    if n == 1:
+        L = try_lattice(transitive_reduce(1, []))
+        canonical_form(L)  # searched here, so that no caller searches it
+        return (L,)
+    forms = set()
+    for L in _lattices(n - 1):
+        for members in _down_set_extensions(L):
+            pairs = [*L.covers, *((x, n - 1) for x in members), (n - 1, L.top)]
+            forms.add(canonical_form(transitive_reduce(n, pairs)))
+    return tuple(
+        try_lattice(_seed_canonical(poset_from_canonical(form), form))
+        for form in sorted(forms)
+    )
 
 
 def _check_practical(n):
@@ -99,12 +101,10 @@ def _check_practical(n):
 
 def enumerate_lattices(n):
     """All isomorphism classes of n-element lattices, each once, sorted by
-    canonical form and decoded from it: canonically labeled, no search."""
+    canonical form and canonically labeled.  The lattices are built once
+    per process and shared between calls; the list is new each time."""
     _check_practical(n)
-    return [
-        try_lattice(_seed_canonical(poset_from_canonical(form), form))
-        for form, _ in _meet_closed_posets(n - 1)
-    ]
+    return list(_lattices(n))
 
 
 def enumerate_lattices_naive(n):
@@ -124,12 +124,11 @@ def enumerate_lattices_naive(n):
     for mask in range(1 << len(slots)):
         covers = [slots[i] for i in range(len(slots)) if mask >> i & 1]
         try:
-            p = poset_from_covers(n, covers)
-            try_lattice(p)
+            L = try_lattice(poset_from_covers(n, covers))
         except (NotReducedError, NotALatticeError):
             continue
-        found.setdefault(canonical_form(p), p)
-    return [try_lattice(canonicalize(found[f])) for f in sorted(found)]
+        found.setdefault(canonical_form(L), L)
+    return [canonicalize(found[f]) for f in sorted(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +189,7 @@ def build_atlas(max_n, el_budget=DEFAULT_EL_BUDGET, progress=None):
             entries.append(
                 AtlasEntry(
                     n=n,
-                    canonical=canonical_form(L.poset),
+                    canonical=canonical_form(L),
                     record=classify(L, el_budget=el_budget),
                 )
             )
@@ -225,7 +224,8 @@ def write_atlas(out, entries, max_n=None, el_budget=DEFAULT_EL_BUDGET):
 
 def read_atlas(source):
     """Parse an atlas from source, a path or a binary stream such as
-    sys.stdin.buffer; returns (header, entries).
+    sys.stdin.buffer; returns (header, entries).  Blank lines are skipped,
+    and the first other line is the schema header.
 
     Raises AtlasParseError, naming the line, for text that is not UTF-8,
     a line that is not a JSON object, and an entry field of the wrong type.
@@ -248,7 +248,7 @@ def read_atlas(source):
             raise AtlasParseError(lineno, f"bad JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise AtlasParseError(lineno, "not a JSON object")
-        if lineno == 1:
+        if header is None:
             if obj.get("schema") != SCHEMA_VERSION:
                 raise AtlasParseError(
                     lineno, f"unsupported schema {obj.get('schema')!r}"
@@ -459,7 +459,7 @@ def _zoo_canonical_forms():
     from . import zoo
 
     names = {arrow.designated for arrow in ARROWS if arrow.designated}
-    return {name: canonical_form(getattr(zoo, name)().poset) for name in names}
+    return {name: canonical_form(getattr(zoo, name)()) for name in names}
 
 
 def check_implications(entries):

@@ -91,7 +91,7 @@ def _emit_dot(args, poset, labeling=None):
 def cmd_check(args):
     L = _load_lattice(args.file)
     record = classify(L, el_budget=args.el_budget)
-    _emit_dot(args, L.poset)
+    _emit_dot(args, L)
     if args.json:
         print(json.dumps(record.as_json(), sort_keys=True, indent=2))
         return EXIT_OK
@@ -139,7 +139,7 @@ def cmd_label(args):
     labeling = lm_labeling(L, chain)
     print("chain: " + " ".join(map(str, chain)))
     print(format_labeling(labeling))
-    _emit_dot(args, L.poset, labeling)
+    _emit_dot(args, L, labeling)
     return EXIT_OK
 
 
@@ -152,7 +152,7 @@ def cmd_el(args):
     print(f"nodes: {result.nodes}")
     if result.labeling is not None:
         print(format_labeling(result.labeling))
-        _emit_dot(args, L.poset, result.labeling)
+        _emit_dot(args, L, result.labeling)
     return EXIT_OK
 
 
@@ -160,7 +160,7 @@ def cmd_ideals(args):
     p = _load_poset(args.file)
     L, _ = ideal_lattice(p, cap=args.cap)
     sys.stdout.write(format_covers(L.n, L.covers))
-    _emit_dot(args, L.poset)
+    _emit_dot(args, L)
     return EXIT_OK
 
 
@@ -168,7 +168,7 @@ def cmd_dual(args):
     L = _load_lattice(args.file)
     D = dual(L)
     sys.stdout.write(format_covers(D.n, D.covers))
-    _emit_dot(args, D.poset)
+    _emit_dot(args, D)
     return EXIT_OK
 
 

@@ -1,8 +1,9 @@
 """Lattices: posets whose every pair has a unique join and meet.
 
-Join/meet tables are fully materialized (n stays in the hundreds at most),
-trading O(n^2) memory for O(1) queries.  Like FinitePoset, a Lattice never
-mutates after construction.
+A Lattice is a FinitePoset with join/meet tables, fully materialized (n
+stays in the hundreds at most), trading O(n^2) memory for O(1) queries.
+It never mutates after construction, so what is derived from it (the
+canonical labeling, the deciders' tables) is kept in its one memo dict.
 
 try_lattice finds and validates joins and meets with one routine,
 _least_bounds: each up-set is a bitset of 64-bit words over a linear
@@ -40,61 +41,31 @@ from .poset import (
 _BLOCK = 1 << 15
 
 
-class Lattice:
+class Lattice(FinitePoset):
     """A FinitePoset plus join/meet tables and located bottom/top.
 
     Build instances through try_lattice, ideal_lattice, dual or interval;
-    the constructor trusts its tables.
+    the constructor trusts its tables and takes over the poset's memos.
     """
 
-    __slots__ = ("poset", "join", "meet", "bot", "top", "__dict__")
+    __slots__ = ("join", "meet", "bot", "top")
 
     def __init__(self, poset, join, meet, bot, top):
         join = np.asarray(join)
         meet = np.asarray(meet)
         join.flags.writeable = False
         meet.flags.writeable = False
-        self.poset = poset
+        super().__init__(poset.n, poset.covers, poset.leq)
+        vars(self).update(vars(poset))
         self.join = join
         self.meet = meet
         self.bot = bot
         self.top = top
 
-    # poset delegation
-
     @property
-    def n(self):
-        return self.poset.n
-
-    @property
-    def leq(self):
-        return self.poset.leq
-
-    @property
-    def covers(self):
-        return self.poset.covers
-
-    @property
-    def upper_covers(self):
-        return self.poset.upper_covers
-
-    @property
-    def lower_covers(self):
-        return self.poset.lower_covers
-
-    @property
-    def levels(self):
-        return self.poset.levels
-
-    def __repr__(self):
-        return f"Lattice(n={self.n}, covers={list(self.covers)})"
-
-    def __eq__(self, other):
-        "Structural equality on the underlying poset, not isomorphism."
-        return isinstance(other, Lattice) and self.poset == other.poset
-
-    def __hash__(self):
-        return hash(self.poset)
+    def poset(self):
+        "The lattice itself, as the poset it is."
+        return self
 
     def join_all(self, elements):
         return reduce(lambda a, b: int(self.join[a, b]), elements, self.bot)
@@ -109,7 +80,7 @@ class Lattice:
 
     def relabel(self, perm):
         "Copy with element i renamed to perm[i]."
-        poset = self.poset.relabel(perm)
+        poset = super().relabel(perm)
         ids = np.asarray(perm, dtype=self.join.dtype)
         inverse = np.argsort(ids)
         square = np.ix_(inverse, inverse)
@@ -122,14 +93,27 @@ class Lattice:
         )
 
 
-def _up_words(rows):
-    """Each row of a bool matrix as ceil(n/64) uint64 words, word-major:
-    bit i of words[k, x] is rows[x, 64k + i]."""
-    n = len(rows)
-    bits = np.packbits(rows, axis=1, bitorder="little")
-    padded = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)
-    padded[:, : bits.shape[1]] = bits
-    return np.ascontiguousarray(padded.view("<u8").T, dtype=np.uint64)
+def _up_words(leq, order):
+    """Row x of leq as ceil(n/64) uint64 words, word-major: bit i of
+    words[k, x] is leq[x, order[64k + i]].
+
+    The words are packed from one gathered bool copy, read along the rows
+    of whichever of leq and leq.T is C-ordered: leq's columns for joins,
+    the rows of leq.T for meets, where leq is a transposed view.  A gather
+    across the rows would be slow, and numpy would first copy leq.
+    """
+    n = len(order)
+    width = -(-n // 64)  # words per up-set
+    if leq.flags.c_contiguous:
+        bits = np.packbits(np.take(leq, order, axis=1), axis=1, bitorder="little")
+        padded = np.zeros((n, 8 * width), dtype=np.uint8)
+        padded[:, : bits.shape[1]] = bits
+        return np.ascontiguousarray(padded.view("<u8").T, dtype=np.uint64)
+    # rows[i, x] = leq[x, order[i]]; mode clip gathers with no buffer.
+    rows = np.zeros((64 * width, n), dtype=bool)
+    np.take(leq.T, order, axis=0, out=rows[:n], mode="clip")
+    weights = np.uint64(1) << np.arange(64, dtype=np.uint64)  # bit i of a word
+    return np.einsum("kix,i->kx", rows.view(np.uint8).reshape(width, 64, n), weights)
 
 
 def _least_bounds(leq, order):
@@ -147,7 +131,7 @@ def _least_bounds(leq, order):
     n = len(order)
     order = np.asarray(order, dtype=np.intp)
     size = leq.sum(axis=1, dtype=np.int32)  # |up(x)|
-    up = _up_words(np.take(leq, order, axis=1))
+    up = _up_words(leq, order)
     position = np.argsort(order)  # up(x) has no bit below position[x]
     table = np.empty((n, n), dtype=np.int32)
     r0 = 0

@@ -104,7 +104,7 @@ class FinitePoset:
         self.leq = leq
 
     def __repr__(self):
-        return f"FinitePoset(n={self.n}, covers={list(self.covers)})"
+        return f"{type(self).__name__}(n={self.n}, covers={list(self.covers)})"
 
     def __eq__(self, other):
         "Structural equality (same labels), not isomorphism."

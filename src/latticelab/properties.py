@@ -138,8 +138,8 @@ def is_semidistributive(L):
 
 def _cover_arrays(L):
     """(lower, upper): the covers of L as two index arrays; built once per
-    poset and kept on it (a poset never changes)."""
-    memo = L.poset.__dict__
+    lattice and kept on it (a lattice never changes)."""
+    memo = L.__dict__
     if "_cover_arrays" not in memo:
         lower, upper = np.array(L.covers, dtype=np.intp).reshape(-1, 2).T
         memo["_cover_arrays"] = lower, upper
@@ -152,9 +152,9 @@ def _fiber_covers(L, up):
     index arrays grouped by far: their upper ends when up and their lower
     ends otherwise.  Each group begins at one of starts, and outside[a]
     counts the elements outside the up-set (down-set) of a.  Built once per
-    poset and kept on it as one array, which costs the least memory."""
+    lattice and kept on it as one array, which costs the least memory."""
     key = "_fiber_covers_up" if up else "_fiber_covers_down"
-    memo = L.poset.__dict__
+    memo = L.__dict__
     if key not in memo:
         pairs = sorted((b, a) for a, b in L.covers) if up else L.covers
         memo[key] = np.array(
@@ -212,7 +212,7 @@ def left_modular_chain(L):
     k = length(L)
     # Longest left-modular cover path from each element up to the top.
     reach = {L.top: 0}
-    for v in reversed(L.poset.topological_order):
+    for v in reversed(L.topological_order):
         if v not in lm or v == L.top:
             continue
         best = -1

@@ -198,7 +198,7 @@ def _failing_intervals(L, labeling):
     listed only for a failing [w, b] above it comes after (w, b), which
     is smaller.  So it is the least failing interval.
     """
-    order = L.poset.topological_order
+    order = L.topological_order
     downs = [
         [(x, labeling[(x, w)]) for x in L.lower_covers[w]] for w in range(L.n)
     ]
@@ -319,7 +319,7 @@ def _search_plans(L):
     with no copy: intervals by (|[a, b]|, slot[a], slot[b]), edges by
     level, then slot.  So a relabeled L gets the image of L's plan.
     """
-    slot = canonical_relabeling(L.poset)
+    slot = canonical_relabeling(L)
     intervals = []
     for a, b in _intervals_by_size(L, slot):
         chains = list(_cover_paths(L, a, b))

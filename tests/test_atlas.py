@@ -34,6 +34,27 @@ from latticelab.poset import canonical_form
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
 
 
+def test_a_second_enumeration_returns_the_same_lattices(monkeypatch):
+    import latticelab.atlas as atlas_module
+    import latticelab.poset as poset_module
+
+    first = {n: enumerate_lattices(n) for n in range(1, 9)}
+    calls = []
+    for module, name in (
+        (atlas_module, "try_lattice"),
+        (atlas_module, "poset_from_canonical"),
+        (poset_module, "_canonical_search"),
+    ):
+        monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+    for n, lattices in first.items():
+        again = enumerate_lattices(n)
+        assert again is not lattices and len(again) == len(lattices)
+        assert all(a is b for a, b in zip(again, lattices))
+        again.clear()
+        assert len(enumerate_lattices(n)) == len(lattices)
+    assert calls == []
+
+
 def test_class_counts_up_to_six_match_the_oracle():
     for n in range(1, 7):
         generated = enumerate_lattices(n)

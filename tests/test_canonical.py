@@ -10,7 +10,7 @@ import pytest
 from latticelab import zoo
 from latticelab.atlas import (
     _down_set_extensions,
-    _meet_closed_posets,
+    _lattices,
     enumerate_lattices,
 )
 from latticelab.poset import (
@@ -136,6 +136,14 @@ def fresh(p):
     return FinitePoset(p.n, p.covers, p.leq)
 
 
+def without_top(L):
+    "The meet-closed poset L minus its top, ids above the top moved down."
+    keep = [x for x in range(L.n) if x != L.top]
+    local = {x: i for i, x in enumerate(keep)}
+    covers = [(local[a], local[b]) for a, b in L.covers if b != L.top]
+    return FinitePoset(L.n - 1, covers, L.leq[np.ix_(keep, keep)])
+
+
 def random_perm(n, rng):
     perm = list(range(n))
     rng.shuffle(perm)
@@ -170,7 +178,7 @@ def test_canonical_forms_are_byte_identical(n):
 def test_search_matches_the_recursive_reference():
     rng = random.Random(3)
     posets = [L.poset for n in range(1, 9) for L in enumerate_lattices(n)]
-    posets += [p for k in range(1, 8) for _, p in _meet_closed_posets(k)]
+    posets += [without_top(L) for n in range(2, 9) for L in _lattices(n)]
     assert len(posets) == 300 + 299
     for p in posets:
         for _ in range(2):
@@ -228,8 +236,9 @@ def test_search_runs_once_per_poset(monkeypatch):
 
 
 def test_enumeration_searches_once_per_candidate(monkeypatch):
-    """One search per candidate of levels 0..7 (695), plus at most one for
-    the one-element base; the returned lattices are decoded, not searched."""
+    """One search per candidate lattice with 2..8 elements (695), plus at
+    most one for the one-element base; the returned lattices are decoded,
+    not searched."""
     import latticelab.poset as poset_module
 
     calls = []
@@ -237,7 +246,7 @@ def test_enumeration_searches_once_per_candidate(monkeypatch):
     monkeypatch.setattr(
         poset_module, "_canonical_search", lambda p: calls.append(p) or search(p)
     )
-    _meet_closed_posets.cache_clear()
+    _lattices.cache_clear()
     lattices = [L for n in range(1, 9) for L in enumerate_lattices(n)]
     assert 695 <= len(calls) <= 696
     searched = len(calls)
@@ -260,6 +269,11 @@ def test_long_chain_without_recursion():
 
 
 def test_down_set_extensions_match_the_reference():
-    for k in range(1, 8):
-        for _, p in _meet_closed_posets(k):
-            assert _down_set_extensions(p) == reference_down_set_extensions(p)
+    for n in range(2, 9):
+        for L in _lattices(n):
+            ids = [x for x in range(n) if x != L.top]  # id in p -> id in L
+            expected = [
+                frozenset(ids[x] for x in members)
+                for members in reference_down_set_extensions(without_top(L))
+            ]
+            assert _down_set_extensions(L) == expected

@@ -323,6 +323,18 @@ def test_cli_atlas_pipes_into_hunt_and_implications(
 
 
 @pytest.mark.parametrize("command", ["hunt", "implications"])
+def test_cli_reads_an_atlas_after_leading_blank_lines(tmp_path, capsys, command):
+    path = tmp_path / "atlas.jsonl"
+    assert main(["atlas", "--max-n", "5", "--out", str(path)]) == 0
+    assert main([command, str(path)]) == 0
+    want = capsys.readouterr().out
+    padded = tmp_path / "padded.jsonl"
+    padded.write_text("\n \n" + path.read_text())
+    assert main([command, str(padded)]) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("command", ["hunt", "implications"])
 def test_cli_non_utf8_atlas_on_stdin_names_the_line(capsys, monkeypatch, command):
     _stdin(monkeypatch, b"\xff\xfe{}\n")
     assert main([command, "-"]) == 2

@@ -20,6 +20,9 @@ from latticelab.errors import (
 from latticelab.lattice import dual, ideal_lattice, interval, try_lattice
 from latticelab.poset import (
     MAX_ELEMENTS,
+    FinitePoset,
+    canonical_form,
+    canonicalize,
     is_isomorphic,
     poset_from_covers,
     transitive_reduce,
@@ -197,6 +200,40 @@ def test_hexagon_is_lattice():
     L = zoo.hexagon()
     assert (L.bot, L.top) == (0, 5)
     assert L.join[1, 2] == 5 and L.meet[3, 4] == 0
+
+
+def test_a_lattice_is_its_own_poset():
+    L = zoo.hexagon()
+    built = [
+        L,
+        ideal_lattice(poset_from_covers(3, [(0, 1)]))[0],
+        dual(L),
+        interval(L, 0, 3).lattice,
+        L.relabel([5, 3, 1, 0, 2, 4]),
+    ]
+    for M in built:
+        assert isinstance(M, FinitePoset) and M.poset is M
+
+
+def test_try_lattice_keeps_the_posets_memos(monkeypatch):
+    import latticelab.poset as poset_module
+
+    q = canonicalize(poset_from_covers(6, zoo.hexagon().covers))
+    order = q.topological_order
+    monkeypatch.setattr(poset_module, "_canonical_search", None)  # must not run
+    L = try_lattice(q)
+    assert canonical_form(L) == canonical_form(q)
+    assert L.topological_order is order
+
+
+def test_lattices_with_the_same_covers_are_equal():
+    L = zoo.hexagon()
+    p = FinitePoset(L.n, L.covers, L.leq)
+    M = try_lattice(p)
+    assert M is not L and M == L and hash(M) == hash(L)
+    # A lattice is the poset it is, so it equals a bare poset with its covers.
+    assert L == p and p == L and hash(L) == hash(p)
+    assert L != L.relabel([1, 0, 2, 3, 4, 5])
 
 
 def test_two_point_antichain_is_not_a_lattice():
