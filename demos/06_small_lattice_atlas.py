@@ -1,10 +1,10 @@
 """The atlas: every small lattice up to isomorphism, classified.
 
-Enumeration grows meet-closed posets one maximal element at a time and
-rejects isomorphs by canonical form; a naive filter over all cover sets
-cross-checks it at small sizes.  The classified atlas machine-verifies
-the implication grid between the properties and hunts for counterexample
-candidates to the open questions.
+Enumeration grows each lattice from a smaller one by a new coatom, an
+element right under its top, and rejects isomorphs by canonical form; a
+naive filter over all cover sets cross-checks it at small sizes.  The
+classified atlas machine-verifies the implication grid between the
+properties and hunts for counterexample candidates to the open questions.
 """
 
 import collections

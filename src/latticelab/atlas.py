@@ -9,6 +9,7 @@ the generator at small sizes.
 """
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -136,6 +137,11 @@ def enumerate_lattices_naive(n):
 # ---------------------------------------------------------------------------
 
 
+def _json_line(obj):
+    "One line of an atlas file: compact JSON with sorted keys."
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class AtlasEntry:
     n: int
@@ -143,12 +149,11 @@ class AtlasEntry:
     record: ClassificationRecord
 
     def as_json_line(self):
-        obj = {
+        return _json_line({
             "canonical": self.canonical.hex(),
             "n": self.n,
             "record": self.record.as_json(),
-        }
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        })
 
     @classmethod
     def from_json_obj(cls, obj):
@@ -198,14 +203,6 @@ def build_atlas(max_n, el_budget=DEFAULT_EL_BUDGET, progress=None):
     return entries
 
 
-def _header_line(max_n, el_budget):
-    return json.dumps(
-        {"schema": SCHEMA_VERSION, "max_n": max_n, "el_budget": el_budget},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-
-
 def write_atlas(out, entries, max_n=None, el_budget=DEFAULT_EL_BUDGET):
     """Write entries to out, a path or a text stream such as sys.stdout,
     as one JSON object per line under a schema header, sorted by (n,
@@ -216,7 +213,8 @@ def write_atlas(out, entries, max_n=None, el_budget=DEFAULT_EL_BUDGET):
     entries = sorted(entries, key=lambda e: (e.n, e.canonical))
     if max_n is None:
         max_n = max((e.n for e in entries), default=0)
-    out.write(_header_line(max_n, el_budget) + "\n")
+    header = {"schema": SCHEMA_VERSION, "max_n": max_n, "el_budget": el_budget}
+    out.write(_json_line(header) + "\n")
     for entry in entries:
         out.write(entry.as_json_line() + "\n")
     return entries
@@ -271,27 +269,16 @@ CSV_COLUMNS = (
 
 
 def write_csv(path, entries):
-    "Flat per-lattice summary with a stable column order."
+    """Flat per-lattice summary: n, the form, then the record's fields in
+    order but the witnesses, each bool as 0/1."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for e in sorted(entries, key=lambda e: (e.n, e.canonical)):
-            r = e.record
-            row = [
-                str(e.n),
-                e.canonical.hex(),
-                str(int(r.distributive)),
-                str(int(r.join_semidistributive)),
-                str(int(r.meet_semidistributive)),
-                str(int(r.semidistributive)),
-                str(int(r.join_extremal)),
-                str(int(r.extremal)),
-                str(int(r.left_modular)),
-                r.el_shellable,
-                str(r.length),
-                str(r.num_join_irreducibles),
-                str(r.num_meet_irreducibles),
-            ]
-            fh.write(",".join(row) + "\n")
+            record = e.record.as_json()
+            del record["witnesses"]
+            row = [e.n, e.canonical.hex(), *record.values()]
+            cells = (int(v) if type(v) is bool else v for v in row)
+            fh.write(",".join(map(str, cells)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -315,71 +302,58 @@ class Arrow:
     designated: str | None = None
 
 
+_SHORT_NAMES = {"jsd": "join_semidistributive", "sd": "semidistributive"}
+
+
+def _arrow(arrow_id, expected, designated=None):
+    """The arrow arrow_id names: its premises joined by "&", then "=>"
+    and its conclusion, with jsd and sd short for the semidistributive
+    flags."""
+    *premises, conclusion = (
+        _SHORT_NAMES.get(name, name) for name in re.split("&|=>", arrow_id)
+    )
+    return Arrow(arrow_id, tuple(premises), conclusion, expected, designated)
+
+
 ARROWS = (
     # row: all lattices
-    Arrow("extremal=>join_extremal", ("extremal",), "join_extremal", "holds"),
-    Arrow("join_extremal=>extremal", ("join_extremal",), "extremal",
-          "refuted", "left_modular_not_semidistributive"),
-    Arrow("join_extremal=>left_modular", ("join_extremal",), "left_modular",
-          "refuted", "jsd_not_left_modular"),
-    Arrow("left_modular=>join_extremal", ("left_modular",), "join_extremal",
-          "refuted", "m3"),
-    Arrow("left_modular=>el_shellable", ("left_modular",), "el_shellable",
-          "holds"),
-    Arrow("el_shellable=>left_modular", ("el_shellable",), "left_modular",
-          "refuted", "jsd_not_left_modular"),
+    _arrow("extremal=>join_extremal", "holds"),
+    _arrow("join_extremal=>extremal", "refuted",
+           "left_modular_not_semidistributive"),
+    _arrow("join_extremal=>left_modular", "refuted", "jsd_not_left_modular"),
+    _arrow("left_modular=>join_extremal", "refuted", "m3"),
+    _arrow("left_modular=>el_shellable", "holds"),
+    _arrow("el_shellable=>left_modular", "refuted", "jsd_not_left_modular"),
     # row: join-semidistributive lattices
-    Arrow("jsd&extremal=>join_extremal",
-          ("join_semidistributive", "extremal"), "join_extremal", "holds"),
-    Arrow("jsd&join_extremal=>extremal",
-          ("join_semidistributive", "join_extremal"), "extremal",
-          "refuted", "left_modular_not_semidistributive"),
-    Arrow("jsd&join_extremal=>left_modular",
-          ("join_semidistributive", "join_extremal"), "left_modular",
-          "refuted", "jsd_not_left_modular"),
-    Arrow("jsd&left_modular=>join_extremal",
-          ("join_semidistributive", "left_modular"), "join_extremal",
-          "holds"),
-    Arrow("jsd&left_modular=>el_shellable",
-          ("join_semidistributive", "left_modular"), "el_shellable", "holds"),
-    Arrow("jsd&el_shellable=>left_modular",
-          ("join_semidistributive", "el_shellable"), "left_modular",
-          "refuted", "jsd_not_left_modular"),
+    _arrow("jsd&extremal=>join_extremal", "holds"),
+    _arrow("jsd&join_extremal=>extremal", "refuted",
+           "left_modular_not_semidistributive"),
+    _arrow("jsd&join_extremal=>left_modular", "refuted",
+           "jsd_not_left_modular"),
+    _arrow("jsd&left_modular=>join_extremal", "holds"),
+    _arrow("jsd&left_modular=>el_shellable", "holds"),
+    _arrow("jsd&el_shellable=>left_modular", "refuted",
+           "jsd_not_left_modular"),
     # row: semidistributive lattices
-    Arrow("sd&extremal=>join_extremal",
-          ("semidistributive", "extremal"), "join_extremal", "holds"),
-    Arrow("sd&join_extremal=>extremal",
-          ("semidistributive", "join_extremal"), "extremal", "holds"),
-    Arrow("sd&join_extremal=>left_modular",
-          ("semidistributive", "join_extremal"), "left_modular", "holds"),
-    Arrow("sd&left_modular=>join_extremal",
-          ("semidistributive", "left_modular"), "join_extremal", "holds"),
-    Arrow("sd&left_modular=>el_shellable",
-          ("semidistributive", "left_modular"), "el_shellable", "holds"),
-    Arrow("sd&el_shellable=>left_modular",
-          ("semidistributive", "el_shellable"), "left_modular", "open"),
-    Arrow("sd&el_shellable=>extremal",
-          ("semidistributive", "el_shellable"), "extremal", "open"),
+    _arrow("sd&extremal=>join_extremal", "holds"),
+    _arrow("sd&join_extremal=>extremal", "holds"),
+    _arrow("sd&join_extremal=>left_modular", "holds"),
+    _arrow("sd&left_modular=>join_extremal", "holds"),
+    _arrow("sd&left_modular=>el_shellable", "holds"),
+    _arrow("sd&el_shellable=>left_modular", "open"),
+    _arrow("sd&el_shellable=>extremal", "open"),
     # columns: does the column property force the row hypothesis?
-    Arrow("extremal=>jsd", ("extremal",), "join_semidistributive",
-          "refuted", "extremal_not_left_modular"),
-    Arrow("join_extremal=>jsd", ("join_extremal",), "join_semidistributive",
-          "refuted", "extremal_not_left_modular"),
-    Arrow("left_modular=>jsd", ("left_modular",), "join_semidistributive",
-          "refuted", "m3"),
-    Arrow("el_shellable=>jsd", ("el_shellable",), "join_semidistributive",
-          "refuted", "m3"),
-    Arrow("jsd&extremal=>sd", ("join_semidistributive", "extremal"),
-          "semidistributive", "holds"),
-    Arrow("jsd&join_extremal=>sd",
-          ("join_semidistributive", "join_extremal"), "semidistributive",
-          "refuted", "left_modular_not_semidistributive"),
-    Arrow("jsd&left_modular=>sd",
-          ("join_semidistributive", "left_modular"), "semidistributive",
-          "refuted", "left_modular_not_semidistributive"),
-    Arrow("jsd&el_shellable=>sd",
-          ("join_semidistributive", "el_shellable"), "semidistributive",
-          "refuted", "left_modular_not_semidistributive"),
+    _arrow("extremal=>jsd", "refuted", "extremal_not_left_modular"),
+    _arrow("join_extremal=>jsd", "refuted", "extremal_not_left_modular"),
+    _arrow("left_modular=>jsd", "refuted", "m3"),
+    _arrow("el_shellable=>jsd", "refuted", "m3"),
+    _arrow("jsd&extremal=>sd", "holds"),
+    _arrow("jsd&join_extremal=>sd", "refuted",
+           "left_modular_not_semidistributive"),
+    _arrow("jsd&left_modular=>sd", "refuted",
+           "left_modular_not_semidistributive"),
+    _arrow("jsd&el_shellable=>sd", "refuted",
+           "left_modular_not_semidistributive"),
 )
 
 

@@ -1,6 +1,6 @@
 """Aggregate all property verdicts for one lattice into a single record."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import InvariantViolation
 from .irreducibles import join_irreducible_ids, length, meet_irreducibles
@@ -16,18 +16,6 @@ from .shellability import (
     is_el_labeling,
     lm_labeling,
 )
-
-FLAG_NAMES = (
-    "distributive",
-    "join_semidistributive",
-    "meet_semidistributive",
-    "semidistributive",
-    "join_extremal",
-    "extremal",
-    "left_modular",
-    "el_shellable",
-)
-
 
 @dataclass(frozen=True)
 class ClassificationRecord:
@@ -58,22 +46,19 @@ class ClassificationRecord:
         return value
 
     def as_json(self):
-        out = {name: getattr(self, name) for name in FLAG_NAMES}
-        out["length"] = self.length
-        out["num_join_irreducibles"] = self.num_join_irreducibles
-        out["num_meet_irreducibles"] = self.num_meet_irreducibles
-        out["witnesses"] = self.witnesses
-        return out
+        "The fields by name; the witnesses dict is the record's own."
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json(cls, obj):
-        return cls(
-            **{name: obj[name] for name in FLAG_NAMES},
-            length=obj["length"],
-            num_join_irreducibles=obj["num_join_irreducibles"],
-            num_meet_irreducibles=obj["num_meet_irreducibles"],
-            witnesses=obj.get("witnesses", {}),
-        )
+        """The record as_json gives.  A missing witnesses dict reads as
+        empty; any other missing field is a TypeError."""
+        names = [f.name for f in fields(cls)]
+        return cls(**{name: obj[name] for name in names if name in obj})
+
+
+# The eight property flags: the record's fields up to el_shellable.
+FLAG_NAMES = tuple(f.name for f in fields(ClassificationRecord))[:8]
 
 
 def classify(L, el_budget=DEFAULT_EL_BUDGET):

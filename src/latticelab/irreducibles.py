@@ -14,7 +14,7 @@ from .errors import (
     NotAMaximalChainError,
     NotJoinIrreducibleError,
 )
-from .poset import _minimal_of
+from .poset import _check_element, _minimal_of
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,7 @@ def gamma(L, chain, j):
     never 0 because j is not the bottom.
     """
     chain = check_maximal_chain(L, chain)
+    _check_element(L, j)
     if len(L.lower_covers[j]) != 1:
         raise NotJoinIrreducibleError(j)
     for s, c in enumerate(chain):
@@ -175,6 +176,7 @@ class KappaData:
 
 
 def kappa_data(L, j):
+    _check_element(L, j)
     if len(L.lower_covers[j]) != 1:
         raise NotJoinIrreducibleError(j)
     j_star = L.lower_covers[j][0]
@@ -198,6 +200,7 @@ def canonical_join_rep(L, x):
     the trusted oracle, and the irreducible count stays small at desk
     scale.  bot gets the empty representation.
     """
+    _check_element(L, x)
     below = [j for j in join_irreducible_ids(L) if L.leq[j, x]]
     reps = []
     for size in range(len(below) + 1):

@@ -1,7 +1,7 @@
 """Lattices: posets whose every pair has a unique join and meet.
 
-A Lattice is a FinitePoset with join/meet tables, fully materialized (n
-stays in the hundreds at most), trading O(n^2) memory for O(1) queries.
+A Lattice is a FinitePoset with n x n int32 join/meet tables, trading
+O(n^2) memory for O(1) queries: 64 MB a table at MAX_ELEMENTS = 4096.
 It never mutates after construction, so what is derived from it (the
 canonical labeling, the deciders' tables) is kept in its one memo dict.
 
@@ -31,6 +31,7 @@ from .errors import (
 from .poset import (
     MAX_ELEMENTS,
     FinitePoset,
+    _check_element,
     _check_size,
     _int_rows,
     _minimal_of,
@@ -196,13 +197,11 @@ def try_lattice(p):
 
 
 def dual(L):
-    "The same elements under the reversed order; an involution."
+    "The reversed order, sharing L's elements and tables; an involution."
     n = L.n
     covers = [(b, a) for a, b in L.covers]
     leq = np.ascontiguousarray(L.leq.T)
-    return Lattice(
-        FinitePoset(n, covers, leq), L.meet.copy(), L.join.copy(), L.top, L.bot
-    )
+    return Lattice(FinitePoset(n, covers, leq), L.meet, L.join, L.top, L.bot)
 
 
 class Interval:
@@ -223,6 +222,8 @@ class Interval:
 
 
 def interval(L, a, b):
+    _check_element(L, a)
+    _check_element(L, b)
     if not L.leq[a, b]:
         raise NotComparableError(f"{a} is not below {b}")
     members = np.flatnonzero(L.leq[a] & L.leq[:, b])

@@ -20,6 +20,7 @@ from .errors import (
     DuplicatePairError,
     FormatError,
     InvalidCoverError,
+    LatticeError,
     NotReducedError,
 )
 
@@ -32,6 +33,12 @@ MAX_ELEMENTS = 4096
 def _check_size(n, what="element count"):
     if not 0 <= n <= MAX_ELEMENTS:
         raise BoundExceededError(f"{what} {n} is outside 0..{MAX_ELEMENTS}")
+
+
+def _check_element(p, x):
+    "Raise LatticeError unless x is an element id of p, 0..n-1."
+    if not 0 <= x < p.n:
+        raise LatticeError(f"element id {x} is outside 0..{p.n - 1}")
 
 
 def _find_cycle(n, pairs):

@@ -125,14 +125,18 @@ class ELVerdict:
         return self.status == "is_el"
 
 
-def _intervals_by_size(L, slot=None):
-    """(a, b) pairs with a < b as Python ints, in (|[a, b]|, slot[a], slot[b])
-    order, slot defaulting to the ids; |[a, b]| counts up(a) & down(b)."""
+def _interval_key(L, slot=None):
+    """Key of a pair (a, b) with a <= b: (|[a, b]|, slot[a], slot[b]), slot
+    defaulting to the ids; |[a, b]| counts up(a) & down(b)."""
     slot = range(L.n) if slot is None else slot
     up, down = _int_rows(L.leq), _int_rows(L.leq.T)
+    return lambda p: ((up[p[0]] & down[p[1]]).bit_count(), slot[p[0]], slot[p[1]])
+
+
+def _intervals_by_size(L, slot=None):
+    "(a, b) pairs with a < b as Python ints, in _interval_key order."
     a, b = np.nonzero(L.leq & ~np.eye(L.n, dtype=bool))
-    key = lambda p: ((up[p[0]] & down[p[1]]).bit_count(), slot[p[0]], slot[p[1]])
-    return sorted(zip(a.tolist(), b.tolist()), key=key)
+    return sorted(zip(a.tolist(), b.tolist()), key=_interval_key(L, slot))
 
 
 def _interval_failure(L, labeling, a, b):
@@ -250,10 +254,10 @@ def is_el_labeling(L, labeling):
     the chains of that interval alone.
     """
     _check_complete(L, labeling)
-    failing = set(_failing_intervals(L, labeling))
+    failing = _failing_intervals(L, labeling)
     if not failing:
         return ELVerdict("is_el")
-    a, b = next(ab for ab in _intervals_by_size(L) if ab in failing)
+    a, b = min(failing, key=_interval_key(L))
     verdict = _interval_failure(L, labeling, a, b)
     if verdict is None:
         raise InvariantViolation(

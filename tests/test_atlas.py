@@ -24,6 +24,7 @@ from latticelab.atlas import (
     write_csv,
 )
 from latticelab.classify import classify
+from latticelab.cli import main
 from latticelab.errors import (
     AtlasParseError,
     BoundExceededError,
@@ -171,6 +172,25 @@ def test_atlas_bytes_up_to_seven_are_pinned(tmp_path):
     digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
     assert digest(jsonl) == "6c2d6879b0b9b286"
     assert digest(csv) == "39c516fb65d58e29"
+
+
+def test_grid_rows_and_reports_up_to_seven_are_pinned(tmp_path, capsys):
+    """Each arrow as (id, premises, conclusion, expected, designated), and
+    the `implications` and `hunt` stdout of the n <= 7 atlas file."""
+    digest = lambda data: hashlib.sha256(data).hexdigest()[:16]
+    rows = [
+        (a.arrow_id, a.premises, a.conclusion, a.expected, a.designated)
+        for a in ARROWS
+    ]
+    assert digest(repr(rows).encode()) == "305b151573af2707"
+    path = tmp_path / "a7.jsonl"
+    write_atlas(str(path), build_atlas(7), max_n=7)
+    for command, want in (
+        ("implications", "b2c04597fbe7674d"),
+        ("hunt", "30fb203a8aa9d10f"),
+    ):
+        assert main([command, str(path)]) == 0
+        assert digest(capsys.readouterr().out.encode()) == want
 
 
 def test_reclassifying_an_entry_reproduces_its_record():

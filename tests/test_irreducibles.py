@@ -7,6 +7,7 @@ import pytest
 from latticelab import zoo
 from latticelab.atlas import enumerate_lattices
 from latticelab.errors import (
+    LatticeError,
     NotACoverError,
     NotAMaximalChainError,
     NotJoinIrreducibleError,
@@ -401,3 +402,19 @@ def test_witness_descent_runs_without_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert got == expected
+
+
+@pytest.mark.parametrize("x", [-1, -5, 5, 99])
+def test_element_ids_outside_the_lattice_are_errors(x):
+    L = zoo.pentagon()
+    chain = next(maximal_chains(L))
+    calls = (
+        lambda: interval(L, x, L.top),
+        lambda: interval(L, L.bot, x),
+        lambda: gamma(L, chain, x),
+        lambda: kappa_data(L, x),
+        lambda: canonical_join_rep(L, x),
+    )
+    for call in calls:
+        with pytest.raises(LatticeError, match=f"element id {x} is outside"):
+            call()

@@ -302,6 +302,17 @@ def test_dual_is_involution():
         assert np.array_equal(D.leq, L.leq.T)
 
 
+def test_dual_shares_the_read_only_tables():
+    L = zoo.hexagon()
+    D = dual(L)
+    assert np.shares_memory(D.join, L.meet)
+    assert np.shares_memory(D.meet, L.join)
+    for table in (D.join, D.meet, L.join, L.meet):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
+
 def test_dual_m3_is_isomorphic_to_m3():
     assert is_isomorphic(dual(zoo.m3()).poset, zoo.m3().poset)
 
