@@ -23,17 +23,14 @@ class JoinIrreducible:
     j_star: int  # the unique lower cover
 
 
-def join_irreducibles(L):
-    "Elements covering exactly one thing, paired with that lower cover."
-    return [
-        JoinIrreducible(x, L.lower_covers[x][0])
-        for x in range(L.n)
-        if len(L.lower_covers[x]) == 1
-    ]
-
-
 def join_irreducible_ids(L):
-    return [ji.j for ji in join_irreducibles(L)]
+    "Ids of elements covering exactly one thing."
+    return [x for x in range(L.n) if len(L.lower_covers[x]) == 1]
+
+
+def join_irreducibles(L):
+    "The join irreducibles, each paired with its one lower cover."
+    return [JoinIrreducible(j, L.lower_covers[j][0]) for j in join_irreducible_ids(L)]
 
 
 def meet_irreducibles(L):

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import lattice
 from .errors import InvariantViolation
-from .irreducibles import length
+from .irreducibles import join_irreducible_ids, length
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,10 @@ def _violation(kind, a, bad):
 
 def _one_step_distributive(L):
     "Birkhoff's one-step test of the module docstring."
-    lower = L.lower_covers
-    J = [x for x in range(L.n) if len(lower[x]) == 1]
+    J = join_irreducible_ids(L)
     if len(J) != length(L):  # a distributive L adds one j per cover step
         return False
-    j_star = [lower[j][0] for j in J]
+    j_star = [L.lower_covers[j][0] for j in J]
     leq = L.leq
     cnt = leq[J].sum(axis=0)
     minimal_missing = (leq[j_star] & ~leq[J]).T  # rows x, cols j

@@ -213,7 +213,8 @@ def test_corrupt_line_reports_line_number(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "where", ["header", "entry", "record", "field", "encoding"]
+    "where",
+    ["header", "schema-true", "schema-float", "entry", "record", "field", "encoding"],
 )
 def test_lines_of_the_wrong_shape_are_parse_errors(tmp_path, where):
     path = tmp_path / "shape.jsonl"
@@ -223,6 +224,10 @@ def test_lines_of_the_wrong_shape_are_parse_errors(tmp_path, where):
     lineno = 3
     if where == "header":
         lines[0] = b"[1]"
+        lineno = 1
+    elif where.startswith("schema"):
+        schema = b"true" if where == "schema-true" else b"1.0"
+        lines[0] = lines[0].replace(b'"schema":1', b'"schema":' + schema)
         lineno = 1
     elif where == "entry":
         lines[2] = b"[1]"

@@ -113,7 +113,7 @@ def reference_down_set_extensions(p):
     n = p.n
     down = [frozenset(x for x in range(n) if p.leq[x, a]) for a in range(n)]
     out = []
-    for mask in range(1, 1 << n):
+    for mask in range(1 << n):
         members = frozenset(x for x in range(n) if mask >> x & 1)
         if any(not set(p.lower_covers[x]) <= members for x in members):
             continue
@@ -261,15 +261,38 @@ def test_enumeration_searches_once_per_candidate(monkeypatch):
     assert len(calls) == searched
 
 
+def reference_extension_masks(L):
+    """Bitmasks over L's ids of the reference scan of L minus its top,
+    each with the size of the down-set it gives the new element."""
+    ids = [x for x in range(L.n) if x != L.top]  # id in p -> id in L
+    return [
+        (sum(1 << ids[x] for x in members), len(members) + 1)
+        for members in reference_down_set_extensions(without_top(L))
+    ]
+
+
 def test_largest_coatom_rule_keeps_every_class():
-    "Every candidate, with no filter, lands in a class the generator keeps."
+    """Every candidate of the reference scan, with no size rule, lands in
+    a class the generator keeps."""
     for n in range(2, 9):
         forms = set()
         for L in _lattices(n - 1):
-            for members in _down_set_extensions(L):
-                pairs = [*L.covers, *((x, n - 1) for x in members), (n - 1, L.top)]
+            for mask, _ in reference_extension_masks(L):
+                below = [(x, n - 1) for x in range(n - 1) if mask >> x & 1]
+                pairs = [*L.covers, *below, (n - 1, L.top)]
                 forms.add(canonical_form(transitive_reduce(n, pairs)))
         assert forms == {canonical_form(L) for L in _lattices(n)}, n
+
+
+def test_candidates_per_level():
+    """The scan yields only the extensions whose new element is a largest
+    coatom: one per canonical search of the enumeration."""
+    counts = [
+        sum(len(_down_set_extensions(L)) for L in _lattices(n - 1))
+        for n in range(2, 9)
+    ]
+    assert counts == [1, 1, 2, 6, 20, 80, 341]
+    assert sum(counts) == 451
 
 
 def test_long_chain_without_recursion():
@@ -286,11 +309,11 @@ def test_long_chain_without_recursion():
 
 
 def test_down_set_extensions_match_the_reference():
-    for n in range(2, 9):
+    "The reference scan, kept where the new element is a largest coatom."
+    for n in range(1, 9):
         for L in _lattices(n):
-            ids = [x for x in range(n) if x != L.top]  # id in p -> id in L
+            need = max((int(L.leq[:, c].sum()) for c in L.coatoms), default=0)
             expected = [
-                frozenset(ids[x] for x in members)
-                for members in reference_down_set_extensions(without_top(L))
+                mask for mask, size in reference_extension_masks(L) if size >= need
             ]
             assert _down_set_extensions(L) == expected
