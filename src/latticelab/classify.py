@@ -87,8 +87,6 @@ def classify(L, el_budget=DEFAULT_EL_BUDGET):
             witnesses[violation.kind + "_violation"] = list(violation.elements)
     if chain is not None:
         witnesses["left_modular_chain"] = list(chain)
-
-    if chain is not None:
         labeling = lm_labeling(L, chain)
         verdict = is_el_labeling(L, labeling)
         if not verdict:
@@ -97,9 +95,6 @@ def classify(L, el_budget=DEFAULT_EL_BUDGET):
                 f"{L!r}: {verdict}"
             )
         el = "yes"
-        witnesses["el_labeling"] = [
-            [a, b, v] for (a, b), v in sorted(labeling.items())
-        ]
     else:
         result = el_search(L, el_budget)
         el = {
@@ -107,12 +102,11 @@ def classify(L, el_budget=DEFAULT_EL_BUDGET):
             "not_shellable": "no",
             "unknown": "unknown",
         }[result.status]
+        labeling = result.labeling
         witnesses["el_search_nodes"] = result.nodes
         witnesses["el_search_budget"] = result.budget
-        if result.labeling is not None:
-            witnesses["el_labeling"] = [
-                [a, b, v] for (a, b), v in sorted(result.labeling.items())
-            ]
+    if labeling is not None:
+        witnesses["el_labeling"] = [[a, b, v] for (a, b), v in sorted(labeling.items())]
 
     return ClassificationRecord(
         distributive=distributive,

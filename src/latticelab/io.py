@@ -21,7 +21,9 @@ def _json_int(value):
 
 
 def parse_covers(text):
-    "Parse .lat/.poset text or the JSON equivalent into (n, pairs)."
+    """Parse .lat/.poset text or the JSON equivalent into (n, pairs).  One
+    leading byte-order mark (U+FEFF) is dropped."""
+    text = text.removeprefix("\ufeff")
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:

@@ -197,36 +197,38 @@ def _left_modular_set(L):
 
 
 def left_modular_chain(L):
-    """Lexicographically least maximum-length maximal chain of left-modular elements.
+    """Lexicographically least maximal chain of left-modular elements.
 
-    Returns the chain as a tuple, or None when no maximal chain of length
-    len(L) stays inside the left-modular elements.  Walks up the covers,
-    taking at each step the first cover that still has a long enough
-    left-modular path to the top; every such cover leads to a chain of
-    length len(L), so the walk never backtracks.
+    Returns the chain as a tuple, or None when no maximal chain stays
+    inside the left-modular elements.  Working down a topological order,
+    an element is marked when it is left modular and is the top or has a
+    marked upper cover; the walk up from the bottom then takes the first
+    marked upper cover at each step.  Every marked element has a marked
+    cover path to the top, so the walk never backtracks.
+
+    Any maximal chain c_0 < ... < c_k of left-modular elements is a
+    longest chain of L, so the chain found is also the lexicographically
+    least one of maximum length.  Proof: let l(x -< y) be the least i with
+    y <= x v c_i, as in shellability.lm_labeling; it lies in 1..k.  Take
+    x -< y <= x' -< y' with l(x -< y) = i.  Left modularity of c_{i-1}
+    gives (x v c_{i-1}) ^ y = x v (c_{i-1} ^ y), which lies in [x, y] and
+    is not y, so it is x and c_{i-1} ^ y <= x.  Left modularity of c_i
+    gives y = (x v c_i) ^ y = x v (c_i ^ y), so c_i ^ y is not below x,
+    nor below c_{i-1} (it would lie below c_{i-1} ^ y).  Hence
+    c_{i-1} v (c_i ^ y) = c_i, as c_{i-1} -< c_i, and since c_i ^ y <= x',
+    x' v c_i = x' v c_{i-1}: l(x' -< y') is not i.  So the labels along
+    any maximal chain are distinct values in 1..k, and no maximal chain
+    is longer than c.
     """
     lm = _left_modular_set(L)
-    if L.bot not in lm or L.top not in lm:
-        return None
-    k = length(L)
-    # Longest left-modular cover path from each element up to the top.
-    reach = {L.top: 0}
+    ups = L.upper_covers
+    marked = set()
     for v in reversed(L.topological_order):
-        if v not in lm or v == L.top:
-            continue
-        best = -1
-        for w in L.upper_covers[v]:
-            if w in reach:
-                best = max(best, reach[w] + 1)
-        if best >= 0:
-            reach[v] = best
-    if reach.get(L.bot, -1) < k:
+        if v in lm and (v == L.top or not marked.isdisjoint(ups[v])):
+            marked.add(v)
+    if L.bot not in marked:
         return None
-
     path = [L.bot]
     while path[-1] != L.top:
-        need = k - len(path)
-        path.append(
-            next(w for w in L.upper_covers[path[-1]] if reach.get(w, -1) >= need)
-        )
+        path.append(next(w for w in ups[path[-1]] if w in marked))
     return tuple(path)

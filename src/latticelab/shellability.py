@@ -53,12 +53,7 @@ from .errors import (
     InvariantViolation,
     PartialLabelingError,
 )
-from .irreducibles import (
-    _cover_paths,
-    check_maximal_chain,
-    join_irreducible_ids,
-    length,
-)
+from .irreducibles import _cover_paths, check_maximal_chain, length
 from .poset import _int_rows, canonical_relabeling
 from .properties import _cover_arrays, _left_modular_set
 
@@ -68,12 +63,16 @@ DEFAULT_EL_BUDGET = 10_000_000
 def lm_labeling(L, chain):
     """Edge labeling induced by a maximum-length left-modular chain.
 
-    Cover (a, b) gets the smallest chain index gamma(j) of a join
-    irreducible j with a v j = b.  Every gamma(j) comes from one table
-    lookup, and every cover takes its label from one scan of the join
-    irreducibles sorted by gamma.  The candidate set is never empty (each
-    cover has a perspectivity witness below its upper element); this is
-    asserted.
+    Cover x -< y gets the least chain index i with y <= x v c_i (McNamara
+    and Thomas, Europ. J. Combin. 27, 2006), read for every cover at once
+    from the chain's columns of the join table.  The index exists, as c_k
+    is the top, and is at least 1, as c_0 is the bottom.  It is also the
+    least gamma(j) over the join irreducibles j with x v j = y, where
+    gamma(j) indexes the first chain element above j.  As c_i is left
+    modular, y = (x v c_i) ^ y = x v (c_i ^ y), so c_i ^ y is not below
+    x, some join irreducible j <= c_i ^ y lies outside down(x), and
+    x v j = y with gamma(j) <= i; conversely, x v j = y gives
+    y <= x v c_gamma(j).
     """
     chain = check_maximal_chain(L, chain)
     if len(chain) - 1 != length(L):
@@ -84,20 +83,11 @@ def lm_labeling(L, chain):
     for c in chain:
         if c not in lm:
             raise ChainNotLeftModular(c)
-    if not L.covers:
-        return {}
-    J = np.array(join_irreducible_ids(L), dtype=np.intp)
-    gam = L.leq[np.ix_(J, chain)].argmax(axis=1)  # first chain index above j
-    by_gamma = np.argsort(gam, kind="stable")
     lower, upper = _cover_arrays(L)
-    generates = L.join[np.ix_(lower, J[by_gamma])] == upper[:, None]
-    first = generates.argmax(axis=1)
-    missing = np.flatnonzero(~generates[np.arange(len(first)), first])
-    if missing.size:
-        raise InvariantViolation(
-            f"no join irreducible generates the cover {L.covers[missing[0]]}"
-        )
-    return dict(zip(L.covers, gam[by_gamma][first].tolist()))
+    joins = L.join[:, chain][lower]  # x v c_i, one row per cover x -< y
+    # y <= x v c_i, with leq read flat: [y, z] at y * n + z
+    first = L.leq.ravel().take(upper[:, None] * L.n + joins).argmax(axis=1)
+    return dict(zip(L.covers, first.tolist()))
 
 
 def label_vector(labeling, chain):
@@ -503,10 +493,11 @@ def el_search(L, budget=DEFAULT_EL_BUDGET):
     plan is built only when the first top-down slice runs out.  Nodes are
     counted across all passes; exceeding the budget returns status
     "unknown".  The budget bounds search nodes only: the canonical
-    labeling before the search has no automorphism pruning, so on
-    lattices with large automorphism groups it alone can take longer than
-    any search (about 15 s on M_10, more than two minutes on B5), whatever
-    the budget.
+    labeling before the search has no automorphism pruning and alone can
+    take longer than any search, whatever the budget.  Large automorphism
+    groups are one cause (about 15 s on M_10, more than two minutes on
+    B5), but not the only one: on the weak order of S5, which has few
+    automorphisms, it did not finish in 90 s.
 
     A negative budget raises ValueError.  The result also carries
     telemetry that no verdict depends on: result.plan_size and

@@ -13,6 +13,7 @@ from latticelab.lattice import try_lattice
 from latticelab.poset import poset_from_covers
 
 HEXAGON_LAT = "6\n0 1\n0 2\n1 3\n2 4\n3 5\n4 5\n"
+HEXAGON_JSON = '{"n": 6, "covers": [[0, 1], [0, 2], [1, 3], [2, 4], [3, 5], [4, 5]]}'
 
 
 def test_parse_basic():
@@ -30,6 +31,13 @@ def test_parse_comments_and_blank_lines():
 def test_parse_json_equivalent():
     n, pairs = parse_covers('{"n": 2, "covers": [[0, 1]]}')
     assert n == 2 and pairs == [(0, 1)]
+
+
+def test_parse_drops_one_leading_byte_order_mark():
+    assert parse_covers("\ufeff" + HEXAGON_LAT) == parse_covers(HEXAGON_LAT)
+    assert parse_covers('\ufeff{"n": 2, "covers": [[0, 1]]}') == (2, [(0, 1)])
+    with pytest.raises(FormatError, match="line 1: bad count"):
+        parse_covers("\ufeff\ufeff" + HEXAGON_LAT)
 
 
 def test_parse_errors_name_lines():
@@ -339,6 +347,27 @@ def test_cli_non_utf8_atlas_on_stdin_names_the_line(capsys, monkeypatch, command
     _stdin(monkeypatch, b"\xff\xfe{}\n")
     assert main([command, "-"]) == 2
     assert capsys.readouterr().err.startswith("error: line 1:")
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("text", [HEXAGON_LAT, HEXAGON_JSON], ids=["text", "json"])
+def test_cli_check_reads_input_after_a_byte_order_mark(
+    tmp_path, capsys, monkeypatch, source, text
+):
+    plain = tmp_path / "plain.lat"
+    plain.write_text(text, encoding="utf-8")
+    assert main(["check", str(plain), "--json"]) == 0
+    want = capsys.readouterr().out
+    data = b"\xef\xbb\xbf" + text.encode()
+    if source == "file":
+        path = tmp_path / "bom.lat"
+        path.write_bytes(data)
+        argv = ["check", str(path), "--json"]
+    else:
+        _stdin(monkeypatch, data)
+        argv = ["check", "-", "--json"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_cli_nonlattice_input_is_a_usage_error(tmp_path, capsys):

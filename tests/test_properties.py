@@ -227,8 +227,14 @@ def test_seven_element_fixture_left_modular_chain():
     assert len(chain) - 1 == 3
 
 
+def lattices_and_duals_up_to_8():
+    return [M for n in range(1, 9) for L in enumerate_lattices(n) for M in (L, dual(L))]
+
+
 def test_left_modular_chain_is_lexicographically_least():
-    for name, L in zoo.fixture_lattices().items():
+    named = list(zoo.fixture_lattices().items())
+    named += [(L.covers, L) for L in lattices_and_duals_up_to_8()]
+    for name, L in named:
         lm = set(left_modular_elements(L))
         k = length(L)
         qualifying = [
@@ -238,6 +244,18 @@ def test_left_modular_chain_is_lexicographically_least():
         ]
         expected = min(qualifying) if qualifying else None
         assert left_modular_chain(L) == expected, name
+
+
+def test_every_maximal_chain_of_left_modular_elements_is_a_longest_one():
+    "The lemma of the left_modular_chain docstring."
+    found = 0
+    for L in lattices_and_duals_up_to_8():
+        lm = set(left_modular_elements(L))
+        for c in maximal_chains(L):
+            if lm.issuperset(c):
+                assert len(c) - 1 == length(L), (L, c)
+                found += 1
+    assert found == 1086
 
 
 def test_left_modular_chain_walks_long_chains_without_recursion():

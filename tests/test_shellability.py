@@ -90,6 +90,26 @@ def test_lm_labeling_matches_reference_up_to_8_and_on_large_families(
     assert labeled == 542
 
 
+def test_lm_labeling_commutes_with_relabeling_up_to_7():
+    rng = random.Random(31)
+    labeled = 0
+    for n in range(1, 8):
+        for L in enumerate_lattices(n):
+            chain = left_modular_chain(L)
+            if chain is None:
+                continue
+            perm = list(range(n))
+            rng.shuffle(perm)
+            want = {
+                (perm[a], perm[b]): v
+                for (a, b), v in reference_lm_labeling(L, chain).items()
+            }
+            image = tuple(perm[c] for c in chain)
+            assert lm_labeling(L.relabel(perm), image) == want, (L, perm)
+            labeled += 1
+    assert labeled == 71
+
+
 def test_lm_labeling_rejects_bad_chains():
     with pytest.raises(ChainNotLeftModular):
         lm_labeling(zoo.hexagon(), (0, 1, 3, 5))
