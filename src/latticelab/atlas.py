@@ -8,8 +8,12 @@ the new coatoms with a down-set as large as any other coatom's, since
 removing such a coatom already reaches every class, and it tests that
 size before the lattice test: for n <= 10 the lattice test sees 108,109
 of 308,359 bitmasks, and 11,214 candidates are searched, not 20,304.
-The naive oracle filters all upper-triangular cover sets and exists
-only to cross-check the generator at small sizes.
+Everything about a child but its canonical labeling comes from its
+parent: the candidate's covers and order with no cover reduction, and
+each class's join and meet tables, so past one element the generator
+neither reduces, decodes a form nor calls try_lattice.  The naive oracle
+filters all upper-triangular cover sets and exists only to cross-check
+the generator at small sizes.
 """
 
 import json
@@ -18,15 +22,19 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
+import numpy as np
+
 from .classify import ClassificationRecord, classify
 from .errors import (
     AtlasParseError,
     BoundExceededError,
+    InvariantViolation,
     NotALatticeError,
     NotReducedError,
 )
-from .lattice import try_lattice
+from .lattice import Lattice, try_lattice
 from .poset import (
+    FinitePoset,
     _int_rows,
     _seed_canonical,
     canonical_form,
@@ -48,32 +56,89 @@ _KEEP_EXAMPLES = 5  # counterexamples kept per arrow of the grid
 # ---------------------------------------------------------------------------
 
 
-def _down_set_extensions(L):
+def _down_set_extensions(L, down):
     """Bitmasks, in increasing order, of the down-sets D of L minus its
     top over which a new element right under the top keeps L a lattice
     and is a coatom with a down-set as large as any other coatom's: D cut
     below any element but the top has a single maximal member, and
     |D| + 1 is at least the size of every coatom's down-set in L.
 
-    Bit x stands for element x; the top's bit is never set.  The size is
-    tested first, so the cut test runs only on masks large enough.  A set
-    D passes the cut test exactly when D cut below every element but the
-    top is a principal down-set: the cut below a member x is then the
-    down-set of x, so D is down-closed, and a down-set has a single
-    maximal member exactly when it is the down-set of that member.
+    down[a] is the down-set of a as an int, bit x standing for element x;
+    the top's bit is never set in a mask.  The size is tested first, so
+    the cut test runs only on masks large enough.  A set D passes the cut
+    test exactly when D cut below every element but the top is a
+    principal down-set: the cut below a member x is then the down-set of
+    x, so D is down-closed, and a down-set has a single maximal member
+    exactly when it is the down-set of that member.
     """
     n, top = L.n, L.top
-    rows = _int_rows(L.leq.T)  # rows[a]: the down-set of a
-    need = max((rows[c].bit_count() - 1 for c in L.coatoms), default=0)
-    principal = rows[:top] + rows[top + 1:]
+    need = max((down[c].bit_count() - 1 for c in L.coatoms), default=0)
+    principal = down[:top] + down[top + 1:]
     principal_set = set(principal)
     masks = (m + (m >> top << top) for m in range(1 << (n - 1)))  # skip top's bit
     return [
         mask
         for mask in masks
         if mask.bit_count() >= need
-        and all(mask & down in principal_set for down in principal)
+        and all(mask & d in principal_set for d in principal)
     ]
+
+
+def _extension(L, up, mask):
+    """The candidate poset: L with a new element e = L.n right under its
+    top, above the members of the down-set mask.  up[x] is the up-set of
+    x in L as an int.
+
+    Nothing is reduced: the covers are L's but the pairs (x, top) with x
+    in mask, then (m, e) for each maximal member m of mask, whose up-set
+    meets mask in m alone, then (e, top).  leq gains the column of e,
+    true on mask and on e, and the row of e, true on e and on the top.
+    """
+    e, top = L.n, L.top
+    members = [x for x in range(e) if mask >> x & 1]
+    covers = [(x, y) for x, y in L.covers if y != top or not mask >> x & 1]
+    covers += [(m, e) for m in members if up[m] & mask == 1 << m]
+    covers.append((e, top))
+    leq = np.zeros((e + 1, e + 1), dtype=bool)
+    leq[:e, :e] = L.leq
+    leq[members, e] = True
+    leq[e, [e, top]] = True
+    return FinitePoset(e + 1, covers, leq)
+
+
+def _child(parent, mask, perm, form):
+    """The class of the candidate parent + mask as a canonically labeled
+    Lattice, its tables read off the parent's: perm is the candidate's
+    canonical relabeling and form its canonical form.
+
+    parent is (L, down, up) with L's down-sets and up-sets as ints.  On
+    L's elements the meet is L's, and the join is L's but that two
+    members of mask whose join in L is the top now join to e.  e joins
+    a member of mask to e and anything else to the top.  The meet of e
+    and an element x below the top is the element whose down-set is mask
+    cut below x; the scan made that cut principal, and InvariantViolation
+    is raised if it is not.  e meets the top to e, and e is the bottom
+    when L has one element, where mask is empty.
+    """
+    L, down, up = parent
+    p = _extension(L, up, mask)
+    n, e, top = p.n, L.n, L.top
+    inside = p.leq[:e, e]  # the members of mask
+    index = {d: x for x, d in enumerate(down)}
+    meet_e = [index.get(mask & d) for d in down]
+    meet_e[top] = e
+    if None in meet_e:
+        x = meet_e.index(None)
+        raise InvariantViolation(f"down-set {mask:#b} cut below {x} is not principal")
+    join = np.empty((n, n), dtype=np.int32)
+    meet = np.empty((n, n), dtype=np.int32)
+    join[:e, :e] = np.where((L.join == top) & inside & inside[:, None], e, L.join)
+    join[e, :e] = join[:e, e] = np.where(inside, e, top)
+    meet[:e, :e] = L.meet
+    meet[e, :e] = meet[:e, e] = meet_e
+    join[e, e] = meet[e, e] = e
+    bot = L.bot if mask else e
+    return _seed_canonical(Lattice(p, join, meet, bot, top).relabel(perm), form)
 
 
 @lru_cache(maxsize=None)
@@ -81,11 +146,22 @@ def _lattices(n):
     """All n-element lattices up to isomorphism, canonically labeled and
     sorted by canonical form.
 
-    Each candidate is an (n-1)-element lattice with a new element n-1
-    right under its top, above a down-set from _down_set_extensions; the
-    one-element lattice is the only candidate for n = 1.  Its one
-    canonical search rejects isomorphs, and each class is decoded from
-    its form once, seeded so that it is never searched again.
+    Each candidate is an (n-1)-element lattice L with a new element
+    e = n-1 right under its top, above a down-set D from
+    _down_set_extensions, built by _extension with no cover reduction;
+    the one-element lattice is the only candidate for n = 1.  Its one
+    canonical search rejects isomorphs, and a level keeps, per form, only
+    the first candidate's parent, D and canonical relabeling.  Each class
+    is then built from its parent's tables by _child, seeded so that it
+    is never searched again.
+
+    The candidate is a lattice.  The cut test makes D cut below each x
+    other than the top a principal down-set, the down-set of e ∧ x, so
+    every pair with e has a meet, and so has every pair of L.  A finite
+    meet-semilattice with a top is a lattice.  In particular two members
+    of D with a join z below the top have z in D, as D cut below z is
+    the down-set of a member above both; so the join of members of D is
+    e exactly when it is the top in L.
 
     The extensions make the new element a coatom with the largest
     down-set, and this loses no class.  Let C be an n-element lattice and
@@ -98,16 +174,18 @@ def _lattices(n):
     it never blocks, and comparing |D| + 1 with every coatom of P is the
     whole test.  Every class is still reached, and the form set removes
     the duplicates."""
-    forms = {canonical_form(transitive_reduce(1, []))} if n == 1 else set()
-    for L in _lattices(n - 1) if n > 1 else ():
-        for mask in _down_set_extensions(L):
-            below = [(x, n - 1) for x in range(n - 1) if mask >> x & 1]
-            pairs = [*L.covers, *below, (n - 1, L.top)]
-            forms.add(canonical_form(transitive_reduce(n, pairs)))
-    return tuple(
-        try_lattice(_seed_canonical(poset_from_canonical(form), form))
-        for form in sorted(forms)
-    )
+    if n == 1:
+        L = try_lattice(transitive_reduce(1, []))
+        canonical_form(L)  # searched once, as every candidate is
+        return (L,)
+    forms = {}
+    for L in _lattices(n - 1):
+        down, up = _int_rows(L.leq.T), _int_rows(L.leq)
+        parent = L, down, up
+        for mask in _down_set_extensions(L, down):
+            perm, form = _extension(L, up, mask)._canonical
+            forms.setdefault(form, (parent, mask, perm))
+    return tuple(_child(*forms[form], form) for form in sorted(forms))
 
 
 def _check_practical(n):
@@ -241,7 +319,8 @@ def write_atlas(out, entries, max_n=None, el_budget=DEFAULT_EL_BUDGET):
 
 def read_atlas(source):
     """Parse an atlas from source, a path or a binary stream such as
-    sys.stdin.buffer; returns (header, entries).  Blank lines are skipped,
+    sys.stdin.buffer; returns (header, entries).  A byte-order mark
+    (U+FEFF) leading the first line is dropped, blank lines are skipped,
     and the first other line is the schema header.
 
     Raises AtlasParseError, naming the line, for text that is not UTF-8,
@@ -254,9 +333,12 @@ def read_atlas(source):
     entries = []
     for lineno, raw in enumerate(source, start=1):
         try:
-            line = raw.decode("utf-8").strip()
+            line = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise AtlasParseError(lineno, f"not UTF-8: {exc}") from exc
+        if lineno == 1:
+            line = line.removeprefix("\ufeff")
+        line = line.strip()
         if not line:
             continue
         try:

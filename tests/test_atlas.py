@@ -43,7 +43,8 @@ def test_a_second_enumeration_returns_the_same_lattices(monkeypatch):
     calls = []
     for module, name in (
         (atlas_module, "try_lattice"),
-        (atlas_module, "poset_from_canonical"),
+        (atlas_module, "_extension"),
+        (atlas_module, "_child"),
         (poset_module, "_canonical_search"),
     ):
         monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))

@@ -9,16 +9,22 @@ import pytest
 
 from latticelab import zoo
 from latticelab.atlas import (
+    _child,
     _down_set_extensions,
+    _extension,
     _lattices,
     enumerate_lattices,
 )
+from latticelab.errors import InvariantViolation
+from latticelab.lattice import try_lattice
 from latticelab.poset import (
     FinitePoset,
+    _int_rows,
     canonical_form,
     canonical_relabeling,
     canonicalize,
     is_isomorphic,
+    poset_from_canonical,
     transitive_reduce,
 )
 
@@ -244,7 +250,7 @@ def test_search_runs_once_per_poset(monkeypatch):
 def test_enumeration_searches_once_per_candidate(monkeypatch):
     """One search per candidate lattice with 2..8 elements whose new
     element is a largest coatom (451), plus at most one for the
-    one-element base; the returned lattices are decoded, not searched."""
+    one-element base; the returned lattices are seeded, not searched."""
     import latticelab.poset as poset_module
 
     calls = []
@@ -259,6 +265,62 @@ def test_enumeration_searches_once_per_candidate(monkeypatch):
     for L in lattices:
         canonical_relabeling(L.poset), canonical_form(L.poset)
     assert len(calls) == searched
+
+
+def test_enumeration_past_one_element_reduces_decodes_and_validates_nothing(
+    monkeypatch,
+):
+    import latticelab.atlas as atlas_module
+
+    def forbidden(*args):
+        raise AssertionError("called past n = 1")
+
+    _lattices.cache_clear()
+    _lattices(1)
+    for name in ("transitive_reduce", "poset_from_canonical", "try_lattice"):
+        monkeypatch.setattr(atlas_module, name, forbidden)
+    assert len(enumerate_lattices(8)) == 222
+
+
+def test_candidates_equal_their_transitive_reductions():
+    """Each candidate with at most 8 elements, built from its parent with
+    no reduction, is the poset transitive_reduce makes of the parent's
+    covers, the new element over the mask and under the top."""
+    for n in range(2, 9):
+        for L in _lattices(n - 1):
+            up = _int_rows(L.leq)
+            for mask in _down_set_extensions(L, _int_rows(L.leq.T)):
+                below = [(x, n - 1) for x in range(n - 1) if mask >> x & 1]
+                want = transitive_reduce(n, [*L.covers, *below, (n - 1, L.top)])
+                got = _extension(L, up, mask)
+                assert got.covers == want.covers, (L, mask)
+                assert got.leq.dtype == bool
+                assert np.array_equal(got.leq, want.leq), (L, mask)
+
+
+def test_classes_equal_their_decoded_forms():
+    """Each class with at most 8 elements, built from its parent's
+    tables, is the lattice try_lattice makes of its decoded form, with
+    int32 tables, and its form is what a fresh search finds."""
+    for n in range(1, 9):
+        for L in enumerate_lattices(n):
+            form = canonical_form(L)
+            want = try_lattice(poset_from_canonical(form))
+            assert L.covers == want.covers
+            assert L.leq.dtype == bool and np.array_equal(L.leq, want.leq)
+            for got, table in ((L.join, want.join), (L.meet, want.meet)):
+                assert got.dtype == np.int32 and np.array_equal(got, table)
+            assert (L.bot, L.top) == (want.bot, want.top)
+            assert canonical_form(want) == form
+
+
+def test_a_child_over_a_cut_that_is_not_principal_is_an_invariant_violation():
+    "Over {a, b} in B2, b cut below a is {a}, no element's down-set."
+    L = next(L for L in _lattices(4) if len(L.coatoms) == 2)
+    parent = L, _int_rows(L.leq.T), _int_rows(L.leq)
+    mask = sum(1 << c for c in L.coatoms)
+    with pytest.raises(InvariantViolation):
+        _child(parent, mask, tuple(range(5)), b"")
 
 
 def reference_extension_masks(L):
@@ -288,7 +350,7 @@ def test_candidates_per_level():
     """The scan yields only the extensions whose new element is a largest
     coatom: one per canonical search of the enumeration."""
     counts = [
-        sum(len(_down_set_extensions(L)) for L in _lattices(n - 1))
+        sum(len(_down_set_extensions(L, _int_rows(L.leq.T))) for L in _lattices(n - 1))
         for n in range(2, 9)
     ]
     assert counts == [1, 1, 2, 6, 20, 80, 341]
@@ -316,4 +378,4 @@ def test_down_set_extensions_match_the_reference():
             expected = [
                 mask for mask, size in reference_extension_masks(L) if size >= need
             ]
-            assert _down_set_extensions(L) == expected
+            assert _down_set_extensions(L, _int_rows(L.leq.T)) == expected

@@ -343,6 +343,19 @@ def test_cli_reads_an_atlas_after_leading_blank_lines(tmp_path, capsys, command)
 
 
 @pytest.mark.parametrize("command", ["hunt", "implications"])
+def test_cli_reads_an_atlas_after_a_byte_order_mark(tmp_path, capsys, command):
+    path = tmp_path / "atlas.jsonl"
+    assert main(["atlas", "--max-n", "3", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main([command, str(path)]) == 0
+    want = capsys.readouterr()
+    marked = tmp_path / "bom.jsonl"
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert main([command, str(marked)]) == 0
+    assert capsys.readouterr() == want
+
+
+@pytest.mark.parametrize("command", ["hunt", "implications"])
 def test_cli_non_utf8_atlas_on_stdin_names_the_line(capsys, monkeypatch, command):
     _stdin(monkeypatch, b"\xff\xfe{}\n")
     assert main([command, "-"]) == 2
