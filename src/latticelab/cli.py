@@ -13,6 +13,7 @@ import os
 import sys
 import traceback
 from contextlib import contextmanager
+from itertools import combinations
 
 from .atlas import (
     build_atlas,
@@ -67,14 +68,21 @@ def _load_lattice(path):
 @contextmanager
 def _claimed_outputs(args):
     """Open every output path (--dot, --out, --csv) before the work, so a
-    bad one fails at once; appending truncates nothing.  A file created
-    here and still empty at the end (the run failed or drew nothing) goes."""
+    bad one, or two flags naming one file, fails at once; appending
+    truncates nothing.  A file created here and still empty at the end
+    (the run failed or drew nothing) goes."""
     given = vars(args)
-    paths = [given[k] for k in ("dot", "out", "csv") if given.get(k)]
+    flags = [k for k in ("dot", "out", "csv") if given.get(k)]
+    paths = [given[k] for k in flags]
     created = [path for path in paths if not os.path.exists(path)]
     try:
         for path in paths:
             open(path, "a", encoding="utf-8").close()
+        for first, second in combinations(flags, 2):
+            if os.path.samefile(given[first], given[second]):
+                raise LatticeError(
+                    f"--{first} and --{second} name one file: {given[second]}"
+                )
         yield
     finally:
         for path in created:

@@ -102,10 +102,6 @@ class ChainNotLeftModular(LatticeError):
         self.element = element
 
 
-class ChainNotMaximumLength(LatticeError):
-    pass
-
-
 class PartialLabelingError(LatticeError):
     def __init__(self, missing):
         super().__init__(f"labeling misses cover pairs {sorted(missing)}")

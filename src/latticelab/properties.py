@@ -97,7 +97,7 @@ def _semidistributive(kind, x, y, far, near, starts, outside):
     (meet, join).  The violation is the first failing triple.
 
     Decided by the fiber test of the module docstring for each a in turn;
-    (far, near, starts, outside) are from _fiber_covers.  Only the first a
+    (far, near, starts, outside) are from _cover_index.  Only the first a
     that fails is scanned for its triple."""
     for a in range(len(x)):
         row = x[a]
@@ -117,14 +117,14 @@ def _semidistributive(kind, x, y, far, near, starts, outside):
 def is_join_semidistributive(L):
     "a v b = a v c must force a v b = a v (b ^ c); first violating triple otherwise."
     return _semidistributive(
-        "join_semidistributive", L.join, L.meet, *_fiber_covers(L, up=True)
+        "join_semidistributive", L.join, L.meet, *_cover_index(L, up=True)
     )
 
 
 def is_meet_semidistributive(L):
     "The dual condition: a ^ b = a ^ c must force a ^ b = a ^ (b v c)."
     return _semidistributive(
-        "meet_semidistributive", L.meet, L.join, *_fiber_covers(L, up=False)
+        "meet_semidistributive", L.meet, L.join, *_cover_index(L, up=False)
     )
 
 
@@ -135,24 +135,16 @@ def is_semidistributive(L):
     return is_meet_semidistributive(L)
 
 
-def _cover_arrays(L):
-    """(lower, upper): the covers of L as two index arrays; built once per
-    lattice and kept on it (a lattice never changes)."""
-    memo = L.__dict__
-    if "_cover_arrays" not in memo:
-        lower, upper = np.array(L.covers, dtype=np.intp).reshape(-1, 2).T
-        memo["_cover_arrays"] = lower, upper
-    return memo["_cover_arrays"]
-
-
-def _fiber_covers(L, up):
-    """(far, near, starts, outside) for the fiber test of the join law when
-    up, of the meet law otherwise.  far and near are the covers of L as
-    index arrays grouped by far: their upper ends when up and their lower
-    ends otherwise.  Each group begins at one of starts, and outside[a]
-    counts the elements outside the up-set (down-set) of a.  Built once per
-    lattice and kept on it as one array, which costs the least memory."""
-    key = "_fiber_covers_up" if up else "_fiber_covers_down"
+def _cover_index(L, up):
+    """(far, near, starts, outside): the covers of L as index arrays grouped
+    by far, their upper ends when up and their lower ends otherwise.  Each
+    group begins at one of starts, and outside[a] counts the elements
+    outside the up-set (down-set) of a.  The fiber test of the join law
+    reads all four with up, that of the meet law with not up.  With not up,
+    (far, near) is (lower, upper) in L.covers order, which is all that
+    left_modular_elements and shellability.lm_labeling read.  Built once
+    per lattice and kept on it as one array, which costs the least memory."""
+    key = "_cover_index_up" if up else "_cover_index_down"
     memo = L.__dict__
     if key not in memo:
         pairs = sorted((b, a) for a, b in L.covers) if up else L.covers
@@ -172,7 +164,7 @@ def left_modular_elements(L):
     decided on every cover b < c for a block of elements at once.  The
     tables are read flat, [x, y] at x * n + y, in int32 (n * n < 2**31)."""
     n = L.n
-    lower, upper = _cover_arrays(L)
+    lower, upper = _cover_index(L, up=False)[:2]
     lower_at = (lower * n).astype(np.int32)
     upper_at = upper.astype(np.int32)
     join, meet = L.join.ravel(), L.meet.ravel()

@@ -49,19 +49,21 @@ import numpy as np
 
 from .errors import (
     ChainNotLeftModular,
-    ChainNotMaximumLength,
     InvariantViolation,
     PartialLabelingError,
 )
-from .irreducibles import _cover_paths, check_maximal_chain, length
+from .irreducibles import _cover_paths, check_maximal_chain
 from .poset import _int_rows, canonical_relabeling
-from .properties import _cover_arrays, _left_modular_set
+from .properties import _cover_index, _left_modular_set
 
 DEFAULT_EL_BUDGET = 10_000_000
 
 
 def lm_labeling(L, chain):
-    """Edge labeling induced by a maximum-length left-modular chain.
+    """Edge labeling induced by a maximal chain of left-modular elements,
+    which is a longest one (properties.left_modular_chain proves it).  Any
+    other maximal chain, a shorter one included, raises ChainNotLeftModular
+    at its first element that is not left modular.
 
     Cover x -< y gets the least chain index i with y <= x v c_i (McNamara
     and Thomas, Europ. J. Combin. 27, 2006), read for every cover at once
@@ -75,15 +77,11 @@ def lm_labeling(L, chain):
     y <= x v c_gamma(j).
     """
     chain = check_maximal_chain(L, chain)
-    if len(chain) - 1 != length(L):
-        raise ChainNotMaximumLength(
-            f"chain has length {len(chain) - 1}, lattice has {length(L)}"
-        )
     lm = _left_modular_set(L)
     for c in chain:
         if c not in lm:
             raise ChainNotLeftModular(c)
-    lower, upper = _cover_arrays(L)
+    lower, upper = _cover_index(L, up=False)[:2]
     joins = L.join[:, chain][lower]  # x v c_i, one row per cover x -< y
     # y <= x v c_i, with leq read flat: [y, z] at y * n + z
     first = L.leq.ravel().take(upper[:, None] * L.n + joins).argmax(axis=1)

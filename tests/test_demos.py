@@ -7,6 +7,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# Each demo's standard output, byte for byte; every demo is deterministic.
+GOLDEN = ROOT / "tests" / "demo_output"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
@@ -25,5 +27,5 @@ def test_demo_runs_cleanly(demo, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
-    assert done.stdout
+    assert done.stdout == (GOLDEN / f"{demo.stem}.txt").read_text()
     assert not list(tmp_path.iterdir()), "the demo left files behind"

@@ -477,6 +477,29 @@ def test_cli_atlas_rejects_a_bad_output_path_before_the_run(
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("existing", [False, True])
+def test_cli_atlas_rejects_out_and_csv_naming_one_file(
+    tmp_path, capsys, monkeypatch, existing
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("build_atlas ran with --out and --csv on one file")
+
+    monkeypatch.setattr("latticelab.cli.build_atlas", no_run)
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "a.jsonl"
+    if existing:
+        path.write_text("kept\n")
+    (tmp_path / "link.jsonl").symlink_to(path)
+    for other in ("a.jsonl", "link.jsonl", "./a.jsonl"):
+        argv = ["atlas", "--max-n", "3", "--out", str(path), "--csv", other]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--out and --csv" in err
+        assert path.exists() == existing
+        if existing:
+            assert path.read_text() == "kept\n"
+
+
 def test_cli_atlas_rejects_max_n_above_the_bound_at_once(tmp_path, capsys):
     out = tmp_path / "a.jsonl"
     start = time.perf_counter()

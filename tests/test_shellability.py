@@ -12,10 +12,9 @@ from latticelab import zoo
 from latticelab.atlas import enumerate_lattices
 from latticelab.errors import (
     ChainNotLeftModular,
-    ChainNotMaximumLength,
     PartialLabelingError,
 )
-from latticelab.irreducibles import _cover_paths, gamma, join_irreducibles
+from latticelab.irreducibles import _cover_paths, gamma, join_irreducibles, length
 from latticelab.lattice import Lattice, dual, ideal_lattice
 from latticelab.poset import FinitePoset, canonical_relabeling, poset_from_covers
 from latticelab.properties import left_modular_chain
@@ -113,8 +112,41 @@ def test_lm_labeling_commutes_with_relabeling_up_to_7():
 def test_lm_labeling_rejects_bad_chains():
     with pytest.raises(ChainNotLeftModular):
         lm_labeling(zoo.hexagon(), (0, 1, 3, 5))
-    with pytest.raises(ChainNotMaximumLength):
+    # a maximal chain shorter than the lattice holds a non-left-modular element
+    with pytest.raises(ChainNotLeftModular) as caught:
         lm_labeling(zoo.pentagon(), (0, 1, 4))
+    assert caught.value.element == 1
+
+
+def test_lm_labeling_accepts_exactly_the_left_modular_maximal_chains_up_to_8():
+    """Every maximal chain of every lattice with n <= 8 and of its dual.  A
+    chain of left-modular elements is a longest one and gets the gamma-form
+    labeling; any other chain, each shorter one among them, raises
+    ChainNotLeftModular at its first element that is not left modular.
+    Left modularity is read from its definition over every pair b <= c."""
+    small = [
+        M for n in range(1, 9) for L in enumerate_lattices(n) for M in (L, dual(L))
+    ]
+    accepted = rejected = short = 0
+    for L in small:
+        b, c = np.nonzero(L.leq)
+        lm = [
+            bool((L.meet[L.join[b, a], c] == L.join[b, L.meet[a, c]]).all())
+            for a in range(L.n)
+        ]
+        for chain in _cover_paths(L, L.bot, L.top):
+            bad = [x for x in chain if not lm[x]]
+            if bad:
+                with pytest.raises(ChainNotLeftModular) as caught:
+                    lm_labeling(L, chain)
+                assert caught.value.element == bad[0], (L, chain)
+                rejected += 1
+                short += len(chain) - 1 < length(L)
+            else:
+                assert len(chain) - 1 == length(L), (L, chain)
+                assert lm_labeling(L, chain) == reference_lm_labeling(L, chain)
+                accepted += 1
+    assert (accepted, rejected, short) == (1086, 928, 652)
 
 
 def test_label_vector_and_is_increasing():
