@@ -5,15 +5,17 @@ grows lattices one coatom at a time (a lattice minus a coatom is a
 lattice, so each class is a smaller one with a new element right under
 its top), rejecting isomorphs by canonical form.  Its scan keeps only
 the new coatoms with a down-set as large as any other coatom's, since
-removing such a coatom already reaches every class, and it tests that
-size before the lattice test: for n <= 10 the lattice test sees 108,109
-of 308,359 bitmasks, and 11,214 candidates are searched, not 20,304.
-Everything about a child but its canonical labeling comes from its
-parent: the candidate's covers and order with no cover reduction, and
-each class's join and meet tables, so past one element the generator
-neither reduces, decodes a form nor calls try_lattice.  The naive oracle
-filters all upper-triangular cover sets and exists only to cross-check
-the generator at small sizes.
+removing such a coatom already reaches every class, and it generates
+only the bitmasks of that size: for n <= 10 the lattice test sees the
+108,109 of 308,359 bitmasks that are large enough, and 11,214
+candidates are searched, not 20,304.  Everything about a child but its
+canonical labeling comes from its parent.  A candidate is searched on
+cover lists and levels edited from the parent's, with no poset built;
+only a kept class is built, its covers, order and join and meet tables
+read off the parent's and written straight into canonical slots.  So
+past one element the generator neither reduces, decodes a form nor
+calls try_lattice.  The naive oracle filters all upper-triangular cover
+sets and exists only to cross-check the generator at small sizes.
 """
 
 import json
@@ -35,6 +37,7 @@ from .errors import (
 from .lattice import Lattice, try_lattice
 from .poset import (
     FinitePoset,
+    _canonical_search,
     _int_rows,
     _seed_canonical,
     canonical_form,
@@ -56,6 +59,21 @@ _KEEP_EXAMPLES = 5  # counterexamples kept per arrow of the grid
 # ---------------------------------------------------------------------------
 
 
+def _masks_with_at_least(width, need):
+    """Every int below 1 << width with at least need bits set, in
+    increasing order.  The low half of the bits is read from lists of
+    the values with at least k bits set, so no mask below the size is
+    visited."""
+    half = width // 2
+    lows = range(1 << half)
+    at_least = [[x for x in lows if x.bit_count() >= k] for k in range(half + 2)]
+    for high in range(1 << (width - half)):
+        k = min(max(need - high.bit_count(), 0), half + 1)
+        shifted = high << half
+        for low in at_least[k]:
+            yield shifted | low
+
+
 def _down_set_extensions(L, down):
     """Bitmasks, in increasing order, of the down-sets D of L minus its
     top over which a new element right under the top keeps L a lattice
@@ -64,9 +82,9 @@ def _down_set_extensions(L, down):
     |D| + 1 is at least the size of every coatom's down-set in L.
 
     down[a] is the down-set of a as an int, bit x standing for element x;
-    the top's bit is never set in a mask.  The size is tested first, so
-    the cut test runs only on masks large enough.  A set D passes the cut
-    test exactly when D cut below every element but the top is a
+    the top's bit is never set in a mask.  Only masks large enough are
+    generated, so the cut test runs on those alone.  A set D passes the
+    cut test exactly when D cut below every element but the top is a
     principal down-set: the cut below a member x is then the down-set of
     x, so D is down-closed, and a down-set has a single maximal member
     exactly when it is the down-set of that member.
@@ -75,12 +93,10 @@ def _down_set_extensions(L, down):
     need = max((down[c].bit_count() - 1 for c in L.coatoms), default=0)
     principal = down[:top] + down[top + 1:]
     principal_set = set(principal)
-    masks = (m + (m >> top << top) for m in range(1 << (n - 1)))  # skip top's bit
+    masks = _masks_with_at_least(n - 1, need)
+    masks = (m + (m >> top << top) for m in masks)  # skip top's bit
     return [
-        mask
-        for mask in masks
-        if mask.bit_count() >= need
-        and all(mask & d in principal_set for d in principal)
+        mask for mask in masks if all(mask & d in principal_set for d in principal)
     ]
 
 
@@ -106,6 +122,36 @@ def _extension(L, up, mask):
     return FinitePoset(e + 1, covers, leq)
 
 
+def _candidate_covers(L, up, mask):
+    """(ups, downs, levels): the upper covers, lower covers and level of
+    each element of _extension(L, up, mask), edited from L's own in O(n)
+    with no poset built.
+
+    Only the members of mask, e and the top change: a coatom in mask
+    loses the top as its upper cover, each maximal member gains e, e is
+    covered by the top, and the top covers e and the coatoms outside
+    mask.  e = L.n is the largest id, so every tuple stays sorted.
+    """
+    e, top = L.n, L.top
+    ups = [*L.upper_covers, (top,)]
+    downs = [*L.lower_covers]
+    levels = [*L.levels, 0]
+    outside = []
+    for c in L.coatoms:
+        if mask >> c & 1:
+            ups[c] = ()
+        else:
+            outside.append(c)
+    maximal = tuple(m for m in range(e) if mask >> m & 1 and up[m] & mask == 1 << m)
+    for m in maximal:
+        ups[m] += (e,)
+        levels[e] = max(levels[e], levels[m] + 1)
+    downs.append(maximal)
+    downs[top] = (*outside, e)
+    levels[top] = max(levels[top], levels[e] + 1)
+    return ups, downs, levels
+
+
 def _child(parent, mask, perm, form):
     """The class of the candidate parent + mask as a canonically labeled
     Lattice, its tables read off the parent's: perm is the candidate's
@@ -118,7 +164,8 @@ def _child(parent, mask, perm, form):
     and an element x below the top is the element whose down-set is mask
     cut below x; the scan made that cut principal, and InvariantViolation
     is raised if it is not.  e meets the top to e, and e is the bottom
-    when L has one element, where mask is empty.
+    when L has one element, where mask is empty.  The covers, order and
+    tables are written straight into canonical slots.
     """
     L, down, up = parent
     p = _extension(L, up, mask)
@@ -138,7 +185,14 @@ def _child(parent, mask, perm, form):
     meet[e, :e] = meet[:e, e] = meet_e
     join[e, e] = meet[e, e] = e
     bot = L.bot if mask else e
-    return _seed_canonical(Lattice(p, join, meet, bot, top).relabel(perm), form)
+    # Element v goes to slot perm[v]: slot s holds element inverse[s].
+    ids = np.asarray(perm, dtype=np.int32)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[ids] = np.arange(n)
+    square = np.ix_(inverse, inverse)
+    q = FinitePoset(n, [(perm[a], perm[b]) for a, b in p.covers], p.leq[square])
+    M = Lattice(q, ids[join[square]], ids[meet[square]], perm[bot], perm[top])
+    return _seed_canonical(M, form)
 
 
 @lru_cache(maxsize=None)
@@ -148,12 +202,12 @@ def _lattices(n):
 
     Each candidate is an (n-1)-element lattice L with a new element
     e = n-1 right under its top, above a down-set D from
-    _down_set_extensions, built by _extension with no cover reduction;
-    the one-element lattice is the only candidate for n = 1.  Its one
-    canonical search rejects isomorphs, and a level keeps, per form, only
-    the first candidate's parent, D and canonical relabeling.  Each class
-    is then built from its parent's tables by _child, seeded so that it
-    is never searched again.
+    _down_set_extensions; the one-element lattice is the only candidate
+    for n = 1.  Its one canonical search, on the cover lists and levels
+    _candidate_covers edits from L's, rejects isomorphs, and a level
+    keeps, per form, only the first candidate's parent, D and canonical
+    relabeling.  Each class is then built from its parent's tables by
+    _child, seeded so that it is never searched again.
 
     The candidate is a lattice.  The cut test makes D cut below each x
     other than the top a principal down-set, the down-set of e ∧ x, so
@@ -183,7 +237,7 @@ def _lattices(n):
         down, up = _int_rows(L.leq.T), _int_rows(L.leq)
         parent = L, down, up
         for mask in _down_set_extensions(L, down):
-            perm, form = _extension(L, up, mask)._canonical
+            perm, form = _canonical_search(n, *_candidate_covers(L, up, mask))
             forms.setdefault(form, (parent, mask, perm))
     return tuple(_child(*forms[form], form) for form in sorted(forms))
 

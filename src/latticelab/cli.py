@@ -70,11 +70,12 @@ def _claimed_outputs(args):
     """Open every output path (--dot, --out, --csv) before the work, so a
     bad one, or two flags naming one file, fails at once; appending
     truncates nothing.  A file created here and still empty at the end
-    (the run failed or drew nothing) goes."""
+    (the run failed or drew nothing) goes.  A path that is a dangling
+    symlink creates its target: the target goes, and the link stays."""
     given = vars(args)
     flags = [k for k in ("dot", "out", "csv") if given.get(k)]
     paths = [given[k] for k in flags]
-    created = [path for path in paths if not os.path.exists(path)]
+    created = [os.path.realpath(path) for path in paths if not os.path.exists(path)]
     try:
         for path in paths:
             open(path, "a", encoding="utf-8").close()

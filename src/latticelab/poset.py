@@ -156,7 +156,9 @@ class FinitePoset:
     @cached_property
     def _canonical(self):
         "(canonical relabeling, canonical form), searched once."
-        return _canonical_search(self)
+        return _canonical_search(
+            self.n, self.upper_covers, self.lower_covers, self.levels
+        )
 
     def relabel(self, perm):
         "Copy with element i renamed to perm[i]."
@@ -233,26 +235,37 @@ def transitive_reduce(n, pairs):
 #
 # Two-stage scheme: iterative colour refinement on (in-degree, out-degree,
 # level), then backtracking over colour-respecting relabelings choosing the
-# lexicographically least adjacency encoding.  Exact and deterministic;
-# meant for the desk scale (n up to roughly 12) used by the atlas.
+# lexicographically least adjacency encoding, with automorphisms found on
+# the way pruning symmetric subtrees.  Exact and deterministic; the atlas
+# searches every candidate up to n = 10, and symmetric lattices such as
+# B7 (128 elements) or M_40 take under a second.
 
 
-def _refined_colors(p):
-    downs, ups = p.lower_covers, p.upper_covers
-    colors = _ranks(list(zip(map(len, downs), map(len, ups), p.levels)))
-    while True:
+def _refined_colors(ups, downs, levels):
+    """Colour classes as ranks.  A signature starts with the colour, so
+    an element alone in its class keeps its rank whatever its neighbours,
+    and a discrete colouring is final."""
+    n = len(levels)
+    colors = _ranks(list(zip(map(len, downs), map(len, ups), levels)))
+    while max(colors, default=0) + 1 < n:
+        size = [0] * n
+        for c in colors:
+            size[c] += 1
         signature = [
             (
                 c,
                 tuple(sorted([colors[w] for w in down])),
                 tuple(sorted([colors[w] for w in up])),
             )
+            if size[c] > 1
+            else (c,)
             for c, down, up in zip(colors, downs, ups)
         ]
         new = _ranks(signature)
         if new == colors:
             return colors
         colors = new
+    return colors
 
 
 def _ranks(keys):
@@ -261,9 +274,11 @@ def _ranks(keys):
     return [rank[k] for k in keys]
 
 
-def _canonical_search(p):
-    """(perm, form) for p: the colour-respecting relabeling whose encoding
-    is least, and that encoding.
+def _canonical_search(n, ups, downs, levels):
+    """(perm, form) for the poset on 0..n-1 whose element v has the upper
+    covers ups[v], the lower covers downs[v] and the level levels[v]: the
+    colour-respecting relabeling whose encoding is least, and that
+    encoding.  The cover lists may come in any order.
 
     The encoding lists, slot by slot, the chunk of slot s: whether the
     element on slot t is covered by it, for t < s, then whether it is
@@ -272,6 +287,23 @@ def _canonical_search(p):
     explicit stack; a subtree is cut once its chunks exceed the best
     leaf's, and the first least leaf wins.
 
+    Three rules skip only subtrees that cannot hold the first least
+    leaf, so they change no (perm, form):
+    - While the path is strictly below the best leaf, or there is none
+      yet, a node keeps only its candidates with the least chunk: every
+      path extends to a leaf, and leaves compare chunk by chunk.
+    - A leaf equal to the best one gives an automorphism g, taking the
+      best path's slot s to the leaf's.  g fixes the slots where the two
+      paths agree, up to slot k where they first differ, so the subtree
+      of the leaf's candidate at slot k is g's image of the best leaf's
+      one, searched before it: the search goes back to slot k at once.
+    - A candidate is skipped if an automorphism found so far fixes the
+      path and maps it to a candidate already tried at the node: its
+      subtree is the image of that one's, with the same chunks.
+    The last two are the orbit pruning of nauty (McKay and Piperno,
+    J. Symbolic Comput. 60, 2014), with no refinement after a slot is
+    filled, since that would reorder the slots.
+
     A chunk is kept as one integer per element, updated along the cover
     edges as slots fill: bit n-1-t of ``low[v]`` says slot t is covered by
     v, the same bit of ``high[v]`` that v is covered by slot t, so
@@ -279,17 +311,15 @@ def _canonical_search(p):
     Chunks are compared with the best leaf's only while the path ties it;
     ``below`` is the slot where the path went strictly below the best.
     """
-    n = p.n
     if n == 0:
         return (), n.to_bytes(4, "big")
-    colors = _refined_colors(p)
+    colors = _refined_colors(ups, downs, levels)
     by_color = {}
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)
     slot_class = []
     for c in sorted(by_color):
         slot_class.extend([by_color[c]] * len(by_color[c]))
-    ups, downs = p.upper_covers, p.lower_covers
 
     low = [0] * n
     high = [0] * n
@@ -298,14 +328,19 @@ def _canonical_search(p):
     chunks = []
     best = best_path = None
     below = -1  # no best leaf yet: everything is below it
-    todo = [iter(slot_class[0])]
+    todo = [iter(slot_class[0])]  # an empty path: every chunk is 0
+    tried = [0]  # per node, the candidates taken there, bit v for v
+    fixing = [[]]  # per node, the automorphisms found that fix the path
+    back = None  # the slot to go back to after an automorphism
     while todo:
         s = len(todo) - 1
         if below >= s:
             below = n  # path[:s] ties the best leaf again
+        fix = fixing[s]
         for v in todo[-1]:
-            if used[v]:
+            if fix and any(tried[s] >> g[v] & 1 for g in fix):
                 continue
+            tried[s] |= 1 << v
             chunk = low[v] << n | high[v]
             if below >= s:
                 if chunk > best[s]:
@@ -314,19 +349,34 @@ def _canonical_search(p):
                     below = s
             if s + 1 < n:
                 break
-            if below < n:  # a leaf strictly below the best one
+            # A leaf: the last slot's class has one candidate left.
+            if below < n:  # strictly below the best leaf
                 best, best_path, below = chunks + [chunk], path + [v], n
+                continue
+            g = [0] * n
+            for w, x in zip(best_path, path + [v]):
+                g[w] = x
+            back = next(k for k, w in enumerate(path) if w != best_path[k])
+            for f in fixing[: back + 1]:
+                f.append(g)
         else:
-            todo.pop()
-            if path:  # take the last filled slot's element off the path
-                v = path.pop()
-                chunks.pop()
-                used[v] = False
-                clear = ~(1 << (n - len(todo)))
-                for w in ups[v]:
-                    low[w] &= clear
-                for w in downs[v]:
-                    high[w] &= clear
+            # Take filled slots off the path, back to the node before
+            # this one, or to slot `back` after an automorphism.
+            keep = s if back is None else back + 1
+            back = None
+            while len(todo) > keep:
+                todo.pop()
+                tried.pop()
+                fixing.pop()
+                if path:
+                    v = path.pop()
+                    chunks.pop()
+                    used[v] = False
+                    clear = ~(1 << (n - len(todo)))
+                    for w in ups[v]:
+                        low[w] &= clear
+                    for w in downs[v]:
+                        high[w] &= clear
             continue
         bit = 1 << (n - 1 - s)
         for w in ups[v]:
@@ -336,7 +386,16 @@ def _canonical_search(p):
         used[v] = True
         path.append(v)
         chunks.append(chunk)
-        todo.append(iter(slot_class[s + 1]))
+        nxt = slot_class[s + 1]
+        if len(nxt) > 1:
+            nxt = [w for w in nxt if not used[w]]
+            if below <= s and len(nxt) > 1:  # strictly below: least chunks
+                keys = [low[w] << n | high[w] for w in nxt]
+                least = min(keys)
+                nxt = [w for w, key in zip(nxt, keys) if key == least]
+        todo.append(iter(nxt))
+        tried.append(0)
+        fixing.append([g for g in fix if g[v] == v] if fix else [])
 
     perm = [0] * n
     for slot, v in enumerate(best_path):

@@ -490,12 +490,11 @@ def el_search(L, budget=DEFAULT_EL_BUDGET):
     since either can be far faster on a given instance; the bottom-up
     plan is built only when the first top-down slice runs out.  Nodes are
     counted across all passes; exceeding the budget returns status
-    "unknown".  The budget bounds search nodes only: the canonical
-    labeling before the search has no automorphism pruning and alone can
-    take longer than any search, whatever the budget.  Large automorphism
-    groups are one cause (about 15 s on M_10, more than two minutes on
-    B5), but not the only one: on the weak order of S5, which has few
-    automorphisms, it did not finish in 90 s.
+    "unknown".  The budget bounds search nodes only.  The canonical
+    labeling before the search prunes with the automorphisms it finds,
+    so symmetric inputs do not stall it: it takes about 1 ms on B5 and
+    M_10, 10 ms on B7, M_20 and the weak order of S5, 0.15 s on M_40 and
+    4 s on the weak order of S6 (720 elements; 2 vCPUs, Python 3.11).
 
     A negative budget raises ValueError.  The result also carries
     telemetry that no verdict depends on: result.plan_size and

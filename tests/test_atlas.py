@@ -45,6 +45,8 @@ def test_a_second_enumeration_returns_the_same_lattices(monkeypatch):
         (atlas_module, "try_lattice"),
         (atlas_module, "_extension"),
         (atlas_module, "_child"),
+        (atlas_module, "_candidate_covers"),
+        (atlas_module, "_canonical_search"),
         (poset_module, "_canonical_search"),
     ):
         monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))

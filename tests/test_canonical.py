@@ -3,20 +3,23 @@ replaced, byte identity of the forms, and the once-per-poset memo."""
 
 import hashlib
 import random
+import time
 
 import numpy as np
 import pytest
 
 from latticelab import zoo
 from latticelab.atlas import (
+    _candidate_covers,
     _child,
     _down_set_extensions,
     _extension,
     _lattices,
+    _masks_with_at_least,
     enumerate_lattices,
 )
 from latticelab.errors import InvariantViolation
-from latticelab.lattice import try_lattice
+from latticelab.lattice import ideal_lattice, try_lattice
 from latticelab.poset import (
     FinitePoset,
     _int_rows,
@@ -27,6 +30,8 @@ from latticelab.poset import (
     poset_from_canonical,
     transitive_reduce,
 )
+
+from conftest import weak_order
 
 
 def reference_colors(p):
@@ -232,32 +237,37 @@ def test_seeded_memo_equals_a_fresh_search():
         assert canonical_form(q) == canonical_form(L.poset)
 
 
-def test_search_runs_once_per_poset(monkeypatch):
+def record_searches(monkeypatch, calls):
+    "Record the arguments of every canonical search, by the poset or the enumerator."
+    import latticelab.atlas as atlas_module
     import latticelab.poset as poset_module
 
-    calls = []
     search = poset_module._canonical_search
-    monkeypatch.setattr(
-        poset_module, "_canonical_search", lambda p: calls.append(p) or search(p)
-    )
+
+    def recorded(*args):
+        calls.append(args)
+        return search(*args)
+
+    for module in (poset_module, atlas_module):
+        monkeypatch.setattr(module, "_canonical_search", recorded)
+
+
+def test_search_runs_once_per_poset(monkeypatch):
+    calls = []
+    record_searches(monkeypatch, calls)
     p = fresh(zoo.hexagon().poset.relabel([5, 3, 1, 0, 2, 4]))
     q = canonicalize(p)
     canonical_relabeling(p), canonical_form(p), canonical_form(q)
     canonical_relabeling(q), is_isomorphic(p, q)
-    assert calls == [p]
+    assert calls == [(p.n, p.upper_covers, p.lower_covers, p.levels)]
 
 
 def test_enumeration_searches_once_per_candidate(monkeypatch):
     """One search per candidate lattice with 2..8 elements whose new
     element is a largest coatom (451), plus at most one for the
     one-element base; the returned lattices are seeded, not searched."""
-    import latticelab.poset as poset_module
-
     calls = []
-    search = poset_module._canonical_search
-    monkeypatch.setattr(
-        poset_module, "_canonical_search", lambda p: calls.append(p) or search(p)
-    )
+    record_searches(monkeypatch, calls)
     _lattices.cache_clear()
     lattices = [L for n in range(1, 9) for L in enumerate_lattices(n)]
     assert 451 <= len(calls) <= 452
@@ -296,6 +306,21 @@ def test_candidates_equal_their_transitive_reductions():
                 assert got.covers == want.covers, (L, mask)
                 assert got.leq.dtype == bool
                 assert np.array_equal(got.leq, want.leq), (L, mask)
+
+
+def test_candidate_covers_equal_the_candidate_posets():
+    """The cover lists and levels the enumerator searches, edited from the
+    parent's, are those of the candidate poset, for every candidate with
+    at most 8 elements."""
+    for n in range(2, 9):
+        for L in _lattices(n - 1):
+            up = _int_rows(L.leq)
+            for mask in _down_set_extensions(L, _int_rows(L.leq.T)):
+                ups, downs, levels = _candidate_covers(L, up, mask)
+                p = _extension(L, up, mask)
+                assert tuple(ups) == p.upper_covers, (L, mask)
+                assert tuple(downs) == p.lower_covers, (L, mask)
+                assert tuple(levels) == p.levels, (L, mask)
 
 
 def test_classes_equal_their_decoded_forms():
@@ -370,6 +395,13 @@ def test_long_chain_without_recursion():
     assert is_isomorphic(chain, shuffled_chain)
 
 
+def test_masks_with_at_least_a_size_in_increasing_order():
+    for width in range(9):
+        for need in range(width + 3):
+            want = [m for m in range(1 << width) if m.bit_count() >= need]
+            assert list(_masks_with_at_least(width, need)) == want, (width, need)
+
+
 def test_down_set_extensions_match_the_reference():
     "The reference scan, kept where the new element is a largest coatom."
     for n in range(1, 9):
@@ -379,3 +411,39 @@ def test_down_set_extensions_match_the_reference():
                 mask for mask, size in reference_extension_masks(L) if size >= need
             ]
             assert _down_set_extensions(L, _int_rows(L.leq.T)) == expected
+
+
+def m_k(k):
+    "The lattice with k atoms between a bottom and a top."
+    pairs = [(0, i) for i in range(1, k + 1)] + [(i, k + 1) for i in range(1, k + 1)]
+    return try_lattice(transitive_reduce(k + 2, pairs))
+
+
+def test_search_matches_the_reference_on_symmetric_lattices():
+    """Lattices with many automorphisms, where the orbit pruning cuts
+    most of the search, as given and shuffled.  The last is the product
+    of two copies of B2 with a new top, the down-sets of two disjoint
+    copies of 0, 1 < 2.  A search that also prunes with automorphisms
+    that do not fix the path gets its labeling wrong."""
+    rng = random.Random(11)
+    lattices = [zoo.boolean(3), zoo.boolean(4), zoo.hexagon()]
+    lattices += [m_k(k) for k in range(3, 7)]
+    two_vees = transitive_reduce(6, [(0, 2), (1, 2), (3, 5), (4, 5)])
+    lattices.append(ideal_lattice(two_vees)[0])
+    for L in lattices:
+        for q in (fresh(L.poset), *(shuffled(L.poset, rng) for _ in range(3))):
+            assert (canonical_relabeling(q), canonical_form(q)) == reference_canonical(q)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: zoo.boolean(7).poset, lambda: m_k(20).poset, lambda: weak_order(5).poset],
+)
+def test_symmetric_posets_are_labeled_within_a_second(make):
+    q = shuffled(make(), random.Random(13))
+    start = time.perf_counter()
+    perm = canonical_relabeling(q)
+    assert time.perf_counter() - start < 1.0
+    assert canonical_form(canonicalize(q)) == canonical_form(q)
+    assert canonical_relabeling(fresh(canonicalize(q))) == tuple(range(q.n))
+    assert sorted(perm) == list(range(q.n))

@@ -510,6 +510,30 @@ def test_cli_atlas_rejects_max_n_above_the_bound_at_once(tmp_path, capsys):
     assert err.startswith("error:") and "n <= 10, got 11" in err
 
 
+def test_cli_failed_run_keeps_a_dangling_output_link(tmp_path, capsys, monkeypatch):
+    """--out naming a dangling symlink writes its target; a failed run
+    removes the target it created and keeps the link."""
+    monkeypatch.chdir(tmp_path)
+    link, target = tmp_path / "link.jsonl", tmp_path / "target.jsonl"
+    link.symlink_to("target.jsonl")
+    assert main(["atlas", "--max-n", "11", "--out", "link.jsonl"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert link.is_symlink() and not target.exists()
+    assert main(["atlas", "--max-n", "3", "--out", "link.jsonl"]) == 0
+    assert link.is_symlink() and target.read_text().count("\n") == 4
+
+
+def test_cli_el_on_b5_returns_within_its_budget(tmp_path, capsys):
+    "The canonical labeling before the search no longer hangs on B5."
+    path = tmp_path / "b5.lat"
+    L = zoo.boolean(5)
+    path.write_text(format_covers(L.n, L.covers))
+    start = time.perf_counter()
+    assert main(["el", "--el-budget", "1000", str(path)]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert "nodes: " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("max_n", ["0", "-3"])
 def test_cli_atlas_rejects_max_n_below_one_at_once(tmp_path, capsys, max_n):
     out = tmp_path / "a.jsonl"
