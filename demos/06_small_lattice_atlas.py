@@ -49,6 +49,6 @@ for line in hunt_questions(entries).summary_lines():
 
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "atlas.jsonl")
-    write_atlas(path, build_atlas(5), max_n=5)
+    write_atlas(path, build_atlas(5))
     header, back = read_atlas(path)
 print(f"\npersisted and re-read {len(back)} entries (schema {header['schema']})")

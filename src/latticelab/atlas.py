@@ -38,7 +38,6 @@ from .lattice import Lattice, try_lattice
 from .poset import (
     FinitePoset,
     _canonical_search,
-    _int_rows,
     _seed_canonical,
     canonical_form,
     canonicalize,
@@ -74,22 +73,22 @@ def _masks_with_at_least(width, need):
             yield shifted | low
 
 
-def _down_set_extensions(L, down):
+def _down_set_extensions(L):
     """Bitmasks, in increasing order, of the down-sets D of L minus its
     top over which a new element right under the top keeps L a lattice
     and is a coatom with a down-set as large as any other coatom's: D cut
     below any element but the top has a single maximal member, and
     |D| + 1 is at least the size of every coatom's down-set in L.
 
-    down[a] is the down-set of a as an int, bit x standing for element x;
-    the top's bit is never set in a mask.  Only masks large enough are
-    generated, so the cut test runs on those alone.  A set D passes the
-    cut test exactly when D cut below every element but the top is a
-    principal down-set: the cut below a member x is then the down-set of
-    x, so D is down-closed, and a down-set has a single maximal member
-    exactly when it is the down-set of that member.
+    A mask has bit x for element x, as L.down_sets does, and never the
+    top's bit.  Only masks large enough are generated, so the cut test
+    runs on those alone.  A set D passes the cut test exactly when D cut
+    below every element but the top is a principal down-set: the cut
+    below a member x is then the down-set of x, so D is down-closed, and
+    a down-set has a single maximal member exactly when it is the
+    down-set of that member.
     """
-    n, top = L.n, L.top
+    n, top, down = L.n, L.top, L.down_sets
     need = max((down[c].bit_count() - 1 for c in L.coatoms), default=0)
     principal = down[:top] + down[top + 1:]
     principal_set = set(principal)
@@ -100,39 +99,20 @@ def _down_set_extensions(L, down):
     ]
 
 
-def _extension(L, up, mask):
-    """The candidate poset: L with a new element e = L.n right under its
-    top, above the members of the down-set mask.  up[x] is the up-set of
-    x in L as an int.
-
-    Nothing is reduced: the covers are L's but the pairs (x, top) with x
-    in mask, then (m, e) for each maximal member m of mask, whose up-set
-    meets mask in m alone, then (e, top).  leq gains the column of e,
-    true on mask and on e, and the row of e, true on e and on the top.
-    """
-    e, top = L.n, L.top
-    members = [x for x in range(e) if mask >> x & 1]
-    covers = [(x, y) for x, y in L.covers if y != top or not mask >> x & 1]
-    covers += [(m, e) for m in members if up[m] & mask == 1 << m]
-    covers.append((e, top))
-    leq = np.zeros((e + 1, e + 1), dtype=bool)
-    leq[:e, :e] = L.leq
-    leq[members, e] = True
-    leq[e, [e, top]] = True
-    return FinitePoset(e + 1, covers, leq)
-
-
-def _candidate_covers(L, up, mask):
+def _candidate_covers(L, mask):
     """(ups, downs, levels): the upper covers, lower covers and level of
-    each element of _extension(L, up, mask), edited from L's own in O(n)
-    with no poset built.
+    each element of the candidate L + mask, that is L with a new element
+    e = L.n right under its top, above the members of the down-set mask.
+    They are edited from L's own in O(n), with no poset built, and this
+    is the one place that says what the candidate covers.
 
     Only the members of mask, e and the top change: a coatom in mask
-    loses the top as its upper cover, each maximal member gains e, e is
-    covered by the top, and the top covers e and the coatoms outside
-    mask.  e = L.n is the largest id, so every tuple stays sorted.
+    loses the top as its upper cover, each maximal member of mask (its
+    up-set meets mask in itself alone) gains e, e is covered by the top,
+    and the top covers e and the coatoms outside mask.  e is the largest
+    id, so every tuple stays sorted.
     """
-    e, top = L.n, L.top
+    e, top, up = L.n, L.top, L.up_sets
     ups = [*L.upper_covers, (top,)]
     downs = [*L.lower_covers]
     levels = [*L.levels, 0]
@@ -152,25 +132,29 @@ def _candidate_covers(L, up, mask):
     return ups, downs, levels
 
 
-def _child(parent, mask, perm, form):
-    """The class of the candidate parent + mask as a canonically labeled
-    Lattice, its tables read off the parent's: perm is the candidate's
-    canonical relabeling and form its canonical form.
+def _child(L, mask, perm, form):
+    """The class of the candidate L + mask as a canonically labeled
+    Lattice, read off L: perm is the candidate's canonical relabeling
+    and form its canonical form.
 
-    parent is (L, down, up) with L's down-sets and up-sets as ints.  On
-    L's elements the meet is L's, and the join is L's but that two
-    members of mask whose join in L is the top now join to e.  e joins
-    a member of mask to e and anything else to the top.  The meet of e
-    and an element x below the top is the element whose down-set is mask
-    cut below x; the scan made that cut principal, and InvariantViolation
-    is raised if it is not.  e meets the top to e, and e is the bottom
-    when L has one element, where mask is empty.  The covers, order and
-    tables are written straight into canonical slots.
+    The covers are those _candidate_covers lists.  leq is L's, with the
+    column of e true on mask and on e, and its row true on e and the
+    top.  On L's elements the meet is L's, and the join is L's but that
+    two members of mask whose join in L is the top now join to e.  e
+    joins a member of mask to e and anything else to the top.  The meet
+    of e and an element x below the top is the element whose down-set is
+    mask cut below x; the scan made that cut principal, and
+    InvariantViolation is raised if it is not.  e meets the top to e, and
+    e is the bottom when L has one element, where mask is empty.  The
+    covers, order and tables are written straight into canonical slots.
     """
-    L, down, up = parent
-    p = _extension(L, up, mask)
-    n, e, top = p.n, L.n, L.top
-    inside = p.leq[:e, e]  # the members of mask
+    n, e, top, down = L.n + 1, L.n, L.top, L.down_sets
+    ups = _candidate_covers(L, mask)[0]
+    leq = np.zeros((n, n), dtype=bool)
+    leq[:e, :e] = L.leq
+    leq[:e, e] = [mask >> x & 1 for x in range(e)]
+    leq[e, [e, top]] = True
+    inside = leq[:e, e]
     index = {d: x for x, d in enumerate(down)}
     meet_e = [index.get(mask & d) for d in down]
     meet_e[top] = e
@@ -190,7 +174,8 @@ def _child(parent, mask, perm, form):
     inverse = np.empty(n, dtype=np.intp)
     inverse[ids] = np.arange(n)
     square = np.ix_(inverse, inverse)
-    q = FinitePoset(n, [(perm[a], perm[b]) for a, b in p.covers], p.leq[square])
+    covers = [(perm[a], perm[b]) for a, bs in enumerate(ups) for b in bs]
+    q = FinitePoset(n, covers, leq[square])
     M = Lattice(q, ids[join[square]], ids[meet[square]], perm[bot], perm[top])
     return _seed_canonical(M, form)
 
@@ -234,11 +219,9 @@ def _lattices(n):
         return (L,)
     forms = {}
     for L in _lattices(n - 1):
-        down, up = _int_rows(L.leq.T), _int_rows(L.leq)
-        parent = L, down, up
-        for mask in _down_set_extensions(L, down):
-            perm, form = _canonical_search(n, *_candidate_covers(L, up, mask))
-            forms.setdefault(form, (parent, mask, perm))
+        for mask in _down_set_extensions(L):
+            perm, form = _canonical_search(n, *_candidate_covers(L, mask))
+            forms.setdefault(form, (L, mask, perm))
     return tuple(_child(*forms[form], form) for form in sorted(forms))
 
 
@@ -354,16 +337,16 @@ def build_atlas(max_n, el_budget=DEFAULT_EL_BUDGET, progress=None):
     return entries
 
 
-def write_atlas(out, entries, max_n=None, el_budget=DEFAULT_EL_BUDGET):
+def write_atlas(out, entries, el_budget=DEFAULT_EL_BUDGET):
     """Write entries to out, a path or a text stream such as sys.stdout,
     as one JSON object per line under a schema header, sorted by (n,
-    canonical form) so the bytes are deterministic."""
+    canonical form) so the bytes are deterministic.  The header's max_n
+    is the largest entry n, 0 when there is none."""
     if not hasattr(out, "write"):
         with open(out, "w", encoding="utf-8") as fh:
-            return write_atlas(fh, entries, max_n, el_budget)
+            return write_atlas(fh, entries, el_budget)
     entries = sorted(entries, key=lambda e: (e.n, e.canonical))
-    if max_n is None:
-        max_n = max((e.n for e in entries), default=0)
+    max_n = max((e.n for e in entries), default=0)
     header = {"schema": SCHEMA_VERSION, "max_n": max_n, "el_budget": el_budget}
     out.write(_json_line(header) + "\n")
     for entry in entries:

@@ -147,7 +147,8 @@ def cmd_label(args):
         return EXIT_OK
     labeling = lm_labeling(L, chain)
     print("chain: " + " ".join(map(str, chain)))
-    print(format_labeling(labeling))
+    if labeling:
+        print(format_labeling(labeling))
     _emit_dot(args, L, labeling)
     return EXIT_OK
 
@@ -160,7 +161,8 @@ def cmd_el(args):
     print(f"status: {result.status}")
     print(f"nodes: {result.nodes}")
     if result.labeling is not None:
-        print(format_labeling(result.labeling))
+        if result.labeling:
+            print(format_labeling(result.labeling))
         _emit_dot(args, L, result.labeling)
     return EXIT_OK
 
@@ -194,7 +196,7 @@ def cmd_atlas(args):
         write_csv(args.csv, entries)
     if args.out or not args.csv:
         out = args.out or sys.stdout
-        write_atlas(out, entries, max_n=args.max_n, el_budget=args.el_budget)
+        write_atlas(out, entries, el_budget=args.el_budget)
     return EXIT_OK
 
 

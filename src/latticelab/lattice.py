@@ -33,7 +33,6 @@ from .poset import (
     FinitePoset,
     _check_element,
     _check_size,
-    _int_rows,
     _minimal_of,
 )
 
@@ -45,8 +44,9 @@ _BLOCK = 1 << 15
 class Lattice(FinitePoset):
     """A FinitePoset plus join/meet tables and located bottom/top.
 
-    Build instances through try_lattice, ideal_lattice, dual or interval;
-    the constructor trusts its tables and takes over the poset's memos.
+    Build instances through try_lattice, ideal_lattice, dual, interval,
+    relabel or the enumerator (atlas.enumerate_lattices); the constructor
+    trusts its tables and takes over the poset's memos.
     """
 
     __slots__ = ("join", "meet", "bot", "top")
@@ -255,7 +255,7 @@ def ideal_lattice(p, cap=MAX_ELEMENTS):
     """
     _check_size(cap, "ideal cap")
     n = p.n
-    down = _int_rows(p.leq.T)
+    down = p.down_sets
     seen, frontier = {0}, [0]
     steps = []  # (mask, mask | {x}): every cover of the result, once
     while frontier:

@@ -148,6 +148,16 @@ class FinitePoset:
         return tuple(level)
 
     @cached_property
+    def up_sets(self):
+        "The up-set of each element as an int, bit x standing for element x."
+        return _int_rows(self.leq)
+
+    @cached_property
+    def down_sets(self):
+        "The down-set of each element as an int, bit x standing for element x."
+        return _int_rows(self.leq.T)
+
+    @cached_property
     def topological_order(self):
         "Element ids sorted by (number of elements strictly below, id)."
         below = self.leq.sum(axis=0)

@@ -53,7 +53,7 @@ from .errors import (
     PartialLabelingError,
 )
 from .irreducibles import _cover_paths, check_maximal_chain
-from .poset import _int_rows, canonical_relabeling
+from .poset import canonical_relabeling
 from .properties import _cover_index, _left_modular_set
 
 DEFAULT_EL_BUDGET = 10_000_000
@@ -117,7 +117,7 @@ def _interval_key(L, slot=None):
     """Key of a pair (a, b) with a <= b: (|[a, b]|, slot[a], slot[b]), slot
     defaulting to the ids; |[a, b]| counts up(a) & down(b)."""
     slot = range(L.n) if slot is None else slot
-    up, down = _int_rows(L.leq), _int_rows(L.leq.T)
+    up, down = L.up_sets, L.down_sets
     return lambda p: ((up[p[0]] & down[p[1]]).bit_count(), slot[p[0]], slot[p[1]])
 
 

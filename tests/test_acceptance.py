@@ -299,8 +299,8 @@ def test_criterion_9_enumeration_cross_validation():
 def test_criterion_9b_atlas_files_are_reproducible(tmp_path):
     p1, p2 = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
     entries = build_atlas(6)
-    write_atlas(str(p1), entries, max_n=6)
-    write_atlas(str(p2), entries, max_n=6)
+    write_atlas(str(p1), entries)
+    write_atlas(str(p2), entries)
     assert p1.read_bytes() == p2.read_bytes()
     assert check_implications(entries).ok
     report(9, "atlas persistence is byte-identical across runs and the "

@@ -43,7 +43,6 @@ def test_a_second_enumeration_returns_the_same_lattices(monkeypatch):
     calls = []
     for module, name in (
         (atlas_module, "try_lattice"),
-        (atlas_module, "_extension"),
         (atlas_module, "_child"),
         (atlas_module, "_candidate_covers"),
         (atlas_module, "_canonical_search"),
@@ -151,7 +150,7 @@ def test_build_atlas_rejects_max_n_below_one(max_n):
 def test_atlas_roundtrip(tmp_path):
     path = tmp_path / "atlas.jsonl"
     entries = build_atlas(5)
-    write_atlas(str(path), entries, max_n=5)
+    write_atlas(str(path), entries)
     assert len(entries) == 1 + 1 + 1 + 2 + 5
     header, back = read_atlas(str(path))
     assert header["max_n"] == 5 and header["schema"] == 1
@@ -160,8 +159,8 @@ def test_atlas_roundtrip(tmp_path):
 
 def test_atlas_files_are_byte_identical_across_runs(tmp_path):
     p1, p2 = tmp_path / "a1.jsonl", tmp_path / "a2.jsonl"
-    write_atlas(str(p1), build_atlas(5), max_n=5)
-    write_atlas(str(p2), build_atlas(5), max_n=5)
+    write_atlas(str(p1), build_atlas(5))
+    write_atlas(str(p2), build_atlas(5))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -170,7 +169,7 @@ def test_atlas_bytes_up_to_seven_are_pinned(tmp_path):
     to alter the .jsonl (say, new EL witnesses) moves only its pin."""
     entries = build_atlas(7)
     jsonl, csv = tmp_path / "a7.jsonl", tmp_path / "a7.csv"
-    write_atlas(str(jsonl), entries, max_n=7)
+    write_atlas(str(jsonl), entries)
     write_csv(str(csv), entries)
     digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
     assert digest(jsonl) == "6c2d6879b0b9b286"
@@ -187,7 +186,7 @@ def test_grid_rows_and_reports_up_to_seven_are_pinned(tmp_path, capsys):
     ]
     assert digest(repr(rows).encode()) == "305b151573af2707"
     path = tmp_path / "a7.jsonl"
-    write_atlas(str(path), build_atlas(7), max_n=7)
+    write_atlas(str(path), build_atlas(7))
     for command, want in (
         ("implications", "b2c04597fbe7674d"),
         ("hunt", "30fb203a8aa9d10f"),

@@ -13,7 +13,6 @@ from latticelab.atlas import (
     _candidate_covers,
     _child,
     _down_set_extensions,
-    _extension,
     _lattices,
     _masks_with_at_least,
     enumerate_lattices,
@@ -22,7 +21,7 @@ from latticelab.errors import InvariantViolation
 from latticelab.lattice import ideal_lattice, try_lattice
 from latticelab.poset import (
     FinitePoset,
-    _int_rows,
+    _canonical_search,
     canonical_form,
     canonical_relabeling,
     canonicalize,
@@ -293,31 +292,38 @@ def test_enumeration_past_one_element_reduces_decodes_and_validates_nothing(
 
 
 def test_candidates_equal_their_transitive_reductions():
-    """Each candidate with at most 8 elements, built from its parent with
-    no reduction, is the poset transitive_reduce makes of the parent's
-    covers, the new element over the mask and under the top."""
+    """Each candidate with at most 8 elements, built from its parent by
+    _child with no reduction, is the poset transitive_reduce makes of the
+    parent's covers, the new element over the mask and under the top,
+    relabeled by the candidate's canonical relabeling."""
     for n in range(2, 9):
         for L in _lattices(n - 1):
-            up = _int_rows(L.leq)
-            for mask in _down_set_extensions(L, _int_rows(L.leq.T)):
+            for mask in _down_set_extensions(L):
                 below = [(x, n - 1) for x in range(n - 1) if mask >> x & 1]
                 want = transitive_reduce(n, [*L.covers, *below, (n - 1, L.top)])
-                got = _extension(L, up, mask)
-                assert got.covers == want.covers, (L, mask)
+                perm, form = _canonical_search(n, *_candidate_covers(L, mask))
+                got = _child(L, mask, perm, form)
+                inverse = np.empty(n, dtype=np.intp)
+                inverse[list(perm)] = np.arange(n)
+                relabeled = {(perm[a], perm[b]) for a, b in want.covers}
+                assert set(got.covers) == relabeled, (L, mask)
                 assert got.leq.dtype == bool
-                assert np.array_equal(got.leq, want.leq), (L, mask)
+                assert np.array_equal(
+                    got.leq, want.leq[np.ix_(inverse, inverse)]
+                ), (L, mask)
 
 
 def test_candidate_covers_equal_the_candidate_posets():
     """The cover lists and levels the enumerator searches, edited from the
-    parent's, are those of the candidate poset, for every candidate with
-    at most 8 elements."""
+    parent's with no reduction, are those transitive_reduce gives the
+    parent's covers with the new element over the mask and under the
+    top, for every candidate with at most 8 elements."""
     for n in range(2, 9):
         for L in _lattices(n - 1):
-            up = _int_rows(L.leq)
-            for mask in _down_set_extensions(L, _int_rows(L.leq.T)):
-                ups, downs, levels = _candidate_covers(L, up, mask)
-                p = _extension(L, up, mask)
+            for mask in _down_set_extensions(L):
+                below = [(x, n - 1) for x in range(n - 1) if mask >> x & 1]
+                p = transitive_reduce(n, [*L.covers, *below, (n - 1, L.top)])
+                ups, downs, levels = _candidate_covers(L, mask)
                 assert tuple(ups) == p.upper_covers, (L, mask)
                 assert tuple(downs) == p.lower_covers, (L, mask)
                 assert tuple(levels) == p.levels, (L, mask)
@@ -342,10 +348,9 @@ def test_classes_equal_their_decoded_forms():
 def test_a_child_over_a_cut_that_is_not_principal_is_an_invariant_violation():
     "Over {a, b} in B2, b cut below a is {a}, no element's down-set."
     L = next(L for L in _lattices(4) if len(L.coatoms) == 2)
-    parent = L, _int_rows(L.leq.T), _int_rows(L.leq)
     mask = sum(1 << c for c in L.coatoms)
     with pytest.raises(InvariantViolation):
-        _child(parent, mask, tuple(range(5)), b"")
+        _child(L, mask, tuple(range(5)), b"")
 
 
 def reference_extension_masks(L):
@@ -375,7 +380,7 @@ def test_candidates_per_level():
     """The scan yields only the extensions whose new element is a largest
     coatom: one per canonical search of the enumeration."""
     counts = [
-        sum(len(_down_set_extensions(L, _int_rows(L.leq.T))) for L in _lattices(n - 1))
+        sum(len(_down_set_extensions(L)) for L in _lattices(n - 1))
         for n in range(2, 9)
     ]
     assert counts == [1, 1, 2, 6, 20, 80, 341]
@@ -410,7 +415,7 @@ def test_down_set_extensions_match_the_reference():
             expected = [
                 mask for mask, size in reference_extension_masks(L) if size >= need
             ]
-            assert _down_set_extensions(L, _int_rows(L.leq.T)) == expected
+            assert _down_set_extensions(L) == expected
 
 
 def m_k(k):

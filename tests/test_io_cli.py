@@ -181,6 +181,18 @@ def test_cli_check_reads_stdin(tmp_path, capsys, monkeypatch):
     assert record["length"] == 3
 
 
+@pytest.mark.parametrize(
+    "command, want",
+    [("label", "chain: 0\n"), ("el", "status: shellable\nnodes: 0\n")],
+)
+def test_cli_labelings_of_the_one_element_lattice_end_without_a_blank_line(
+    capsys, monkeypatch, command, want
+):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1\n"))
+    assert main([command, "-"]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_cli_check_dot(tmp_path, capsys):
     dot_path = tmp_path / "out.dot"
     assert main(["check", lat_file(tmp_path, zoo.m3()), "--dot",

@@ -123,6 +123,19 @@ def test_levels_and_topological_order():
         assert order.index(a) < order.index(b)
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65])
+def test_up_and_down_sets_are_the_rows_and_columns_of_leq(n):
+    "Sizes around the byte and word boundaries, relabeled at random."
+    rng = random.Random(n)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.1]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    p = transitive_reduce(n, pairs).relabel(perm)
+    bits = lambda row: sum(1 << x for x in np.flatnonzero(row).tolist())
+    assert p.up_sets == [bits(p.leq[x]) for x in range(n)]
+    assert p.down_sets == [bits(p.leq[:, x]) for x in range(n)]
+
+
 def test_canonical_form_invariant_under_relabeling():
     rng = random.Random(20240511)
     for name, L in zoo.fixture_lattices().items():
