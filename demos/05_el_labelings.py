@@ -2,8 +2,10 @@
 
 A left-modular chain induces an edge labeling that always verifies as an
 EL-labeling.  Lattices without such a chain may still be EL-shellable;
-the exact search decides, returning a certificate or a refutation (or
-"unknown" past its node budget).
+el_search decides.  It first looks for an interval whose order complex
+has a disconnected pure skeleton, which refutes EL-shellability with no
+search; otherwise the exact search returns a certificate or a refutation
+(or "unknown" past its node budget).
 """
 
 from latticelab import (
@@ -28,13 +30,16 @@ print("verifier:", is_el_labeling(m3, labels).status)
 
 print("\nhexagon: no left-modular chain, and provably no EL-labeling")
 result = el_search(zoo.hexagon())
-print(f"  search says {result.status} after {result.nodes} nodes")
+print(f"  el_search says {result.status} after {result.nodes} nodes")
+x, y, i = result.refuted_by
+print(f"  refuted by ({x}, {y}, {i}): the pure {i}-skeleton of ({x}, {y}) "
+      "is disconnected")
 
 print("\n8-element witness: not left modular, yet EL-shellable")
 L = zoo.jsd_not_left_modular()
 print("  left-modular chain:", left_modular_chain(L))
 result = el_search(L)
-print(f"  search says {result.status} after {result.nodes} nodes")
+print(f"  el_search says {result.status} after {result.nodes} nodes")
 print(format_labeling(result.labeling))
 print("  certificate re-verified:", bool(is_el_labeling(L, result.labeling)))
 

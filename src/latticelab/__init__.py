@@ -64,6 +64,7 @@ from .shellability import (
     DEFAULT_EL_BUDGET,
     ELSearchResult,
     ELVerdict,
+    disconnected_skeleton,
     el_search,
     is_el_labeling,
     is_el_labeling_naive,

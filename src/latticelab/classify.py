@@ -71,7 +71,10 @@ def classify(L, el_budget=DEFAULT_EL_BUDGET):
     one-step test, the cover form of the left-modular law), the
     semidistributive laws by the fiber test in cover form.  A left-modular chain
     short-circuits the shellability search because its induced labeling
-    is a certificate (which is still verified here, not assumed).
+    is a certificate (which is still verified here, not assumed).  Without
+    one, el_search decides: a refutation by a disconnected skeleton is
+    recorded as the witness el_refuted_by, [x, y, i], and a search by its
+    el_search_nodes and el_search_budget.
     """
     distributive, dist_violation = is_distributive(L)
     jsd, jsd_violation = is_join_semidistributive(L)
@@ -103,8 +106,11 @@ def classify(L, el_budget=DEFAULT_EL_BUDGET):
             "unknown": "unknown",
         }[result.status]
         labeling = result.labeling
-        witnesses["el_search_nodes"] = result.nodes
-        witnesses["el_search_budget"] = result.budget
+        if result.refuted_by is not None:
+            witnesses["el_refuted_by"] = list(result.refuted_by)
+        else:
+            witnesses["el_search_nodes"] = result.nodes
+            witnesses["el_search_budget"] = result.budget
     if labeling is not None:
         witnesses["el_labeling"] = [[a, b, v] for (a, b), v in sorted(labeling.items())]
 

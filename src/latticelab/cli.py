@@ -160,6 +160,8 @@ def cmd_el(args):
         print(json.dumps(result.stats, sort_keys=True), file=sys.stderr)
     print(f"status: {result.status}")
     print(f"nodes: {result.nodes}")
+    if result.refuted_by is not None:
+        print("refuted_by: " + " ".join(map(str, result.refuted_by)))
     if result.labeling is not None:
         if result.labeling:
             print(format_labeling(result.labeling))
@@ -261,14 +263,15 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--dot", metavar="PATH")
 
-    p = add("el", cmd_el, "exact EL-shellability search")
+    p = add("el", cmd_el, "exact EL-shellability decision: skeleton test, then search")
     p.add_argument("file")
     p.add_argument("--el-budget", type=_el_budget, default=DEFAULT_EL_BUDGET)
     p.add_argument("--dot", metavar="PATH")
     p.add_argument(
         "--stats",
         action="store_true",
-        help="print the search's plan size, nodes and prunes as JSON on stderr",
+        help="print the stage that decided, and the certificate or the "
+        "search's plan size, nodes and prunes, as JSON on stderr",
     )
 
     p = add("ideals", cmd_ideals, "write the lattice of down-sets of a poset")

@@ -52,6 +52,7 @@ def _cover_paths(L, a, b):
     if a == b:
         yield (a,)
         return
+    below = L.down_sets[b]
     path = [a]
     stack = [iter(L.upper_covers[a])]
     while stack:
@@ -61,7 +62,7 @@ def _cover_paths(L, a, b):
             path.pop()
         elif w == b:
             yield (*path, b)
-        elif L.leq[w, b]:
+        elif below >> w & 1:
             path.append(w)
             stack.append(iter(L.upper_covers[w]))
 

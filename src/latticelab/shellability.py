@@ -30,7 +30,18 @@ is_el_labeling_naive lists every maximal chain of every interval instead;
 it is the independent oracle the tests hold the fast verifier to, and it
 compares whole label vectors.
 
-The exact shellability decision searches the weak orders induced on the
+el_search decides EL-shellability by skeleton first, then by search.
+The skeleton test, disconnected_skeleton, refutes without listing a
+chain.  It rests on two results: an EL-labeling restricts to every
+interval, so the order complex of every open interval is shellable
+(Bjorner, Trans. AMS 260, 1980), and the pure i-skeleton of a shellable
+complex is shellable (Bjorner and Wachs, Trans. AMS 348, 1996), so
+connected for i >= 1.  A disconnected pure i-skeleton of the
+order complex of some open interval (x, y) is therefore a certificate
+(x, y, i) that L is not EL-shellable.  Only an input it does not refute
+reaches the search.
+
+The exact search, _search, searches the weak orders induced on the
 cover set: labelings inducing the same weak order are interchangeable, and
 every weak order on m edges is realized by labels in 1..m, so enumerating
 weak orders (with per-interval pruning) is sound and complete.  The search
@@ -254,6 +265,122 @@ def is_el_labeling(L, labeling):
     return verdict
 
 
+def _above_two(sets, members):
+    "The elements in the sets of at least two members, as a bitset."
+    once = twice = 0
+    for u in members:
+        twice |= once & sets[u]
+        once |= sets[u]
+    return twice
+
+
+def _bits(mask):
+    "The elements of a bitset, in increasing order."
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _longest_paths(order, start, steps):
+    """The length of a longest path of steps from start to each element,
+    -1 where there is none; order lists every step before its target."""
+    dist = [-1] * len(order)
+    dist[start] = 0
+    for z in order:
+        d = dist[z] + 1
+        if d:
+            for w in steps[z]:
+                if dist[w] < d:
+                    dist[w] = d
+    return dist
+
+
+def _least_disconnected(inside, length, ups, row, col):
+    """The least i >= 1 whose pure i-skeleton of the open interval is
+    disconnected, or None.  inside is the open interval as a bitset, row
+    and col the longest cover paths from its bottom and to its top.
+
+    Element z carries weight row[z] + col[z] and cover u -< v weight
+    row[u] + 1 + col[v], the length of the longest maximal chain through
+    it.  The skeleton for i has the elements and covers of weight at
+    least t = i + 2, so one union-find sweep, from t = length down to 3,
+    counts its parts for every i.
+    """
+    weights = [0] * (length + 1)  # elements per weight
+    covers = [[] for _ in range(length + 1)]  # covers per weight
+    parent = {}
+    for u in _bits(inside):
+        parent[u] = u
+        ru = row[u]
+        weights[ru + col[u]] += 1
+        for v in ups[u]:
+            if inside >> v & 1:
+                covers[ru + 1 + col[v]].append((u, v))
+    parts = 0
+    least = None
+    for t in range(length, 2, -1):
+        parts += weights[t]
+        for u, v in covers[t]:
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[u] = v
+                parts -= 1
+        if parts > 1:
+            least = t - 2
+    return least
+
+
+def disconnected_skeleton(L):
+    """The least certificate (x, y, i) that L is not EL-shellable, or None.
+
+    (x, y, i) says that the pure i-skeleton of the order complex of the
+    open interval (x, y) is disconnected, with i >= 1.  By the two
+    results of the module docstring, that refutes EL-shellability, and
+    CL-shellability too.  The verdict is the same on L and its dual.
+
+    The skeleton for i is connected exactly when the covers u -< v
+    inside (x, y) with l(x, u) + l(v, y) >= i + 1 connect every z inside
+    with l(x, z) + l(z, y) >= i + 2, where l(a, b) is the length of a
+    longest cover path from a to b; no chain is listed.  Only pairs where
+    x has two upper covers below y and y two lower covers above x are
+    scanned: in any other pair one element lies on every maximal chain,
+    and a cone is connected.  Longest paths are found from those x and to
+    those y alone.  The least certificate is in (l(x, y), x, y, i) order,
+    so it names L's own ids and moves with them.
+    """
+    n = L.n
+    up, down = L.up_sets, L.down_sets
+    ups, downs = L.upper_covers, L.lower_covers
+    levels = L.levels
+    pairs = [
+        (x, y)
+        for x in range(n)
+        if len(ups[x]) > 1
+        for y in _bits(_above_two(up, ups[x]))
+        # l(x, y) <= levels[y] - levels[x], and a length of 2 or less
+        # leaves no skeleton of dimension 1
+        if levels[y] - levels[x] > 2 and _above_two(down, downs[y]) >> x & 1
+    ]
+    if not pairs:
+        return None
+    order = L.topological_order
+    rows = {x: _longest_paths(order, x, ups) for x in {x for x, _ in pairs}}
+    order = order[::-1]
+    cols = {y: _longest_paths(order, y, downs) for y in {y for _, y in pairs}}
+    for length, x, y in sorted((rows[x][y], x, y) for x, y in pairs):
+        if length < 3:
+            continue
+        inside = up[x] & down[y] & ~(1 << x | 1 << y)
+        i = _least_disconnected(inside, length, ups, rows[x], cols[y])
+        if i is not None:
+            return (x, y, i)
+    return None
+
+
 PRUNE_RULES = ("no_live_chain", "two_increasing_chains", "not_lex_least")
 
 
@@ -268,13 +395,19 @@ class ELSearchResult:
     # (plan, slice, nodes, status, prunes in PRUNE_RULES order) per pass.
     plan_size: tuple = field(default=(0, 0, 0), compare=False, repr=False)
     passes: tuple = field(default=(), compare=False, repr=False)
+    # The disconnected_skeleton certificate (x, y, i) of a refutation
+    # that ran no search; it names the input's own ids.
+    refuted_by: tuple | None = field(default=None, compare=False)
 
     def __bool__(self):
         return self.status == "shellable"
 
     @property
     def stats(self):
-        "The telemetry as a JSON-ready dict, with the prunes summed over passes."
+        """The telemetry as a JSON-ready dict: the stage that decided, and
+        for the search its plan, passes and prunes summed over passes."""
+        if self.refuted_by is not None:
+            return {"stage": "skeleton", "refuted_by": list(self.refuted_by)}
         passes = []
         totals = dict.fromkeys(PRUNE_RULES, 0)
         for plan, given, nodes, status, prunes in self.passes:
@@ -291,6 +424,7 @@ class ELSearchResult:
                 totals[rule] += count
         edges, intervals, chains = self.plan_size
         return {
+            "stage": "search",
             "plan": {"edges": edges, "intervals": intervals, "chains": chains},
             "passes": passes,
             "prunes": totals,
@@ -303,7 +437,11 @@ def _search_plans(L):
     The "down" order labels covers from the top of the lattice downward,
     the "up" order from the bottom upward; neither dominates, so the search
     runs both.  The intervals and their chains are listed once, here, for
-    both orders, and _compile_plan turns an order into a plan.  Along a
+    both orders, and _compile_plan turns an order into a plan.  An
+    interval with one maximal chain of three or more covers is left out:
+    its chain must rise, which its two-cover pieces already demand, and
+    they are hooked on the same edges and checked before it, so it would
+    never prune.  Along a
     chain the down order lists edges top to bottom and the up order bottom
     to top, so at any depth a chain's labeled edges are contiguous: a
     non-ascending pair of labeled neighbours is what breaks a chain, and
@@ -315,8 +453,8 @@ def _search_plans(L):
     intervals = []
     for a, b in _intervals_by_size(L, slot):
         chains = list(_cover_paths(L, a, b))
-        if len(chains) == 1 and len(chains[0]) == 2:
-            continue  # single cover: nothing to constrain
+        if len(chains) == 1 and len(chains[0]) != 3:
+            continue  # a single cover, or implied by its two-cover pieces
         intervals.append(chains)
     levels = L.levels
     covers = sorted(L.covers, key=lambda e: (slot[e[0]], slot[e[1]]))
@@ -474,7 +612,43 @@ _SLICE_GROWTH = 16
 
 
 def el_search(L, budget=DEFAULT_EL_BUDGET):
-    """Exact EL-shellability decision with a node budget.
+    """Exact EL-shellability decision with a node budget, in two stages.
+
+    First disconnected_skeleton looks for an interval (x, y) and an
+    i >= 1 whose pure i-skeleton of the order complex of (x, y) is
+    disconnected.  Such a certificate proves that L is not EL-shellable:
+    an EL-labeling restricts to every interval, so the order complex of
+    (x, y) is shellable (Bjorner, Trans. AMS 260, 1980), and the pure
+    i-skeleton of a shellable complex is shellable, so connected for
+    i >= 1 (Bjorner and Wachs, Trans. AMS 348, 1996).
+    A refuted input returns "not_shellable" with 0 nodes and the
+    certificate as result.refuted_by, and gets no canonical labeling and
+    no chain list.  Otherwise the exhaustive search of _search decides,
+    or returns "unknown" once it spends the budget.  The budget bounds
+    search nodes only.
+
+    The status and node count depend only on the isomorphism class of L;
+    refuted_by names L's own ids.  A negative budget raises ValueError.
+    The result also carries telemetry that no verdict depends on:
+    result.plan_size and result.passes, and result.stats, the same as a
+    dict with the stage that decided ("stage": "skeleton" or "search"),
+    then either the certificate ("refuted_by") or the plan size ("plan":
+    edges, intervals, chains), one record per pass ("passes": plan,
+    slice, nodes, status, prunes per rule, counted only on failing
+    nodes) and the prunes summed over passes ("prunes").
+    """
+    if budget < 0:
+        raise ValueError(f"el_search budget must be nonnegative, got {budget}")
+    certificate = disconnected_skeleton(L)
+    if certificate is not None:
+        return ELSearchResult(
+            "not_shellable", None, 0, budget, refuted_by=certificate
+        )
+    return _search(L, budget)
+
+
+def _search(L, budget):
+    """The exhaustive search behind el_search, with no skeleton test.
 
     Backtracks over the weak orders on the cover set: each new edge either
     joins an existing label class or starts a new class in any gap, which
@@ -490,21 +664,12 @@ def el_search(L, budget=DEFAULT_EL_BUDGET):
     since either can be far faster on a given instance; the bottom-up
     plan is built only when the first top-down slice runs out.  Nodes are
     counted across all passes; exceeding the budget returns status
-    "unknown".  The budget bounds search nodes only.  The canonical
-    labeling before the search prunes with the automorphisms it finds,
-    so symmetric inputs do not stall it: it takes about 1 ms on B5 and
-    M_10, 10 ms on B7, M_20 and the weak order of S5, 0.15 s on M_40 and
-    4 s on the weak order of S6 (720 elements; 2 vCPUs, Python 3.11).
-
-    A negative budget raises ValueError.  The result also carries
-    telemetry that no verdict depends on: result.plan_size and
-    result.passes, and result.stats, the same as a dict with the plan
-    size ("plan": edges, intervals, chains), one record per pass
-    ("passes": plan, slice, nodes, status, prunes per rule, counted only
-    on failing nodes) and the prunes summed over passes ("prunes").
+    "unknown".  The canonical labeling before the search prunes with the
+    automorphisms it finds, so symmetric inputs do not stall it: it takes
+    about 1 ms on B5 and M_10, 10 ms on B7, M_20 and the weak order of S5,
+    0.15 s on M_40 and 4 s on the weak order of S6 (720 elements; 2 vCPUs,
+    Python 3.11).  The tests hold the skeleton test to this search.
     """
-    if budget < 0:
-        raise ValueError(f"el_search budget must be nonnegative, got {budget}")
     intervals, edge_orders = _search_plans(L)
     size = (len(L.covers), len(intervals), sum(map(len, intervals)))
     if not L.covers:

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 pass.  Criteria 3-5 sweep every isomorphism class of lattices with up to
-8 elements; 6 and 8 sweep up to 7 elements with the exact shellability
+8 elements; 6 and 8 sweep up to 8 elements with the exact shellability
 decision.  Everything is exact (boolean or integer equality), no
 tolerances anywhere.
 """
@@ -52,7 +52,7 @@ from latticelab.shellability import (
 )
 
 MAX_N_FULL_SCAN = 8
-MAX_N_SHELLABILITY = 7
+MAX_N_SHELLABILITY = 8
 ORACLE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15}
 FROZEN_COUNTS = {7: 53, 8: 222}
 
@@ -239,7 +239,7 @@ def test_criterion_6_left_modular_labelings_pass_the_verifier():
                 continue
             assert is_el_labeling(L, lm_labeling(L, chain)), L.covers
             verified += 1
-    report(6, f"{verified} left-modular lattices (n<=7) all produce "
+    report(6, f"{verified} left-modular lattices (n<={MAX_N_SHELLABILITY}) all produce "
               "verified EL labelings")
 
 
@@ -281,7 +281,7 @@ def test_criterion_8_question_hunts():
         assert entry not in report_obj.not_extremal, name
     assert report_obj.not_left_modular == ()
     assert report_obj.not_extremal == ()
-    report(8, f"hunt over n<=7 (all EL statuses decided) lists no "
+    report(8, f"hunt over n<={MAX_N_SHELLABILITY} (all EL statuses decided) lists no "
               "candidates; figure lattices excluded as not semidistributive")
 
 

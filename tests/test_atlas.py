@@ -172,7 +172,7 @@ def test_atlas_bytes_up_to_seven_are_pinned(tmp_path):
     write_atlas(str(jsonl), entries)
     write_csv(str(csv), entries)
     digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
-    assert digest(jsonl) == "6c2d6879b0b9b286"
+    assert digest(jsonl) == "c3b11630ff888439"
     assert digest(csv) == "39c516fb65d58e29"
 
 

@@ -11,6 +11,7 @@ from latticelab.errors import FormatError, LatticeError
 from latticelab.io import format_covers, parse_covers, to_dot
 from latticelab.lattice import try_lattice
 from latticelab.poset import poset_from_covers
+from latticelab.shellability import el_search
 
 HEXAGON_LAT = "6\n0 1\n0 2\n1 3\n2 4\n3 5\n4 5\n"
 HEXAGON_JSON = '{"n": 6, "covers": [[0, 1], [0, 2], [1, 3], [2, 4], [3, 5], [4, 5]]}'
@@ -232,7 +233,8 @@ def test_cli_el(tmp_path, capsys):
 
 
 def test_cli_el_budget_is_one_flag(tmp_path, capsys):
-    path = lat_file(tmp_path, zoo.hexagon())
+    # The skeleton test passes this lattice, so the budget reaches the search.
+    path = lat_file(tmp_path, zoo.jsd_not_left_modular())
     assert main(["el", path, "--el-budget", "5"]) == 0
     assert "status: unknown" in capsys.readouterr().out
     assert main(["check", path, "--json", "--el-budget", "5"]) == 0
@@ -249,12 +251,20 @@ def test_cli_el_stats_go_to_stderr_alone(tmp_path, capsys):
     path = lat_file(tmp_path, zoo.hexagon())
     assert main(["el", path]) == 0
     plain = capsys.readouterr()
+    assert plain.out == "status: not_shellable\nnodes: 0\nrefuted_by: 0 5 1\n"
     assert main(["el", path, "--stats"]) == 0
     both = capsys.readouterr()
     assert both.out == plain.out and plain.err == ""
+    assert json.loads(both.err) == {"stage": "skeleton", "refuted_by": [0, 5, 1]}
+    L = zoo.jsd_not_left_modular()
+    path = lat_file(tmp_path, L)
+    assert main(["el", path, "--stats"]) == 0
+    both = capsys.readouterr()
+    assert "refuted_by" not in both.out
     stats = json.loads(both.err)
-    assert stats["plan"] == {"chains": 6, "edges": 6, "intervals": 5}
-    assert sum(p["nodes"] for p in stats["passes"]) == 388
+    assert stats == el_search(L).stats
+    assert stats["stage"] == "search"
+    assert sum(p["nodes"] for p in stats["passes"]) == 113
     assert main(["check", path, "--json"]) == 0
     assert "prunes" not in capsys.readouterr().out
 

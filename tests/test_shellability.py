@@ -8,24 +8,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import weak_order
 from latticelab import zoo
 from latticelab.atlas import enumerate_lattices
+from latticelab.classify import classify
 from latticelab.errors import (
     ChainNotLeftModular,
     PartialLabelingError,
 )
 from latticelab.irreducibles import _cover_paths, gamma, join_irreducibles, length
-from latticelab.lattice import Lattice, dual, ideal_lattice
+from latticelab.lattice import Lattice, dual, ideal_lattice, try_lattice
 from latticelab.poset import FinitePoset, canonical_relabeling, poset_from_covers
 from latticelab.properties import left_modular_chain
 from latticelab.shellability import (
+    DEFAULT_EL_BUDGET,
     PRUNE_RULES,
     _compile_plan,
     _failing_intervals,
     _interval_failure,
     _intervals_by_size,
     _run_plan,
+    _search,
     _search_plans,
+    disconnected_skeleton,
     el_search,
     format_labeling,
     is_el_labeling,
@@ -223,12 +228,25 @@ def test_el_search_refutes_hexagon():
     result = el_search(zoo.hexagon())
     assert result.status == "not_shellable"
     assert result.labeling is None
+    assert (result.nodes, result.refuted_by) == (0, (0, 5, 1))
+    assert result.stats == {"stage": "skeleton", "refuted_by": [0, 5, 1]}
+    # No budget is spent on a refutation, and none is needed.
+    cut = el_search(zoo.hexagon(), budget=0)
+    assert (cut.status, cut.nodes, cut.refuted_by) == ("not_shellable", 0, (0, 5, 1))
+    searched = _search(zoo.hexagon(), DEFAULT_EL_BUDGET)
+    assert (searched.status, searched.nodes, searched.refuted_by) == (
+        "not_shellable", 388, None
+    )
 
 
 def test_el_search_budget_exhaustion():
-    result = el_search(zoo.hexagon(), budget=5)
+    # The skeleton test passes this lattice, so the search spends the budget.
+    L = zoo.jsd_not_left_modular()
+    assert disconnected_skeleton(L) is None
+    result = el_search(L, budget=5)
     assert result.status == "unknown"
     assert result.nodes == 6
+    assert result.refuted_by is None
 
 
 def test_el_search_rejects_a_negative_budget():
@@ -239,8 +257,9 @@ def test_el_search_rejects_a_negative_budget():
 
 
 def test_el_search_stats_count_nodes_and_prunes_per_pass():
-    result = el_search(zoo.hexagon())
+    result = _search(zoo.hexagon(), DEFAULT_EL_BUDGET)
     assert result.stats == {
+        "stage": "search",
         "plan": {"edges": 6, "intervals": 5, "chains": 6},
         "passes": [
             {
@@ -259,7 +278,7 @@ def test_el_search_stats_count_nodes_and_prunes_per_pass():
         "not_lex_least": 0,
     }
     # The first slice ran out, so the up plan was never built or run.
-    cut = el_search(zoo.hexagon(), budget=5)
+    cut = _search(zoo.hexagon(), 5)
     assert [(p["plan"], p["slice"], p["nodes"]) for p in cut.stats["passes"]] == [
         ("down", 5, 6)
     ]
@@ -499,13 +518,18 @@ def test_verifier_matches_oracle_at_eight_elements():
 # ---------------------------------------------------------------------------
 
 
-def pinned_rows(lattices, budget=None):
-    "(n, status, nodes) of el_search per lattice, with its digest."
+def pinned_rows(lattices, budget=DEFAULT_EL_BUDGET, search=_search):
+    "(n, status, nodes) of the search per lattice, with its digest."
     rows = []
     for L in lattices:
-        result = el_search(L) if budget is None else el_search(L, budget)
+        result = search(L, budget)
         rows.append((L.n, result.status, result.nodes))
     return rows, hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+def status_counts(rows):
+    statuses = [status for _, status, _ in rows]
+    return [statuses.count(s) for s in ("shellable", "not_shellable", "unknown")]
 
 
 def test_el_search_node_counts_are_pinned_up_to_seven(small_lattices):
@@ -521,13 +545,18 @@ def test_el_search_node_counts_are_pinned_at_eight():
     rows, digest = pinned_rows(enumerate_lattices(8), budget=5000)
     assert len(rows) == 222
     assert sum(nodes for _, _, nodes in rows) == 248_498
-    statuses = [status for _, status, _ in rows]
-    assert [statuses.count(s) for s in ("shellable", "not_shellable", "unknown")] == [
-        184,
-        11,
-        27,
-    ]
+    assert status_counts(rows) == [184, 11, 27]
     assert digest == "733eacf28ff0b837"
+
+
+def test_el_search_with_the_skeleton_test_is_pinned_at_eight():
+    """The public el_search at n = 8: the skeleton test refutes the 38
+    classes that the search with this budget refutes 11 of, and leaves
+    the other 2 non-left-modular classes to the search."""
+    rows, digest = pinned_rows(enumerate_lattices(8), budget=5000, search=el_search)
+    assert status_counts(rows) == [184, 38, 0]
+    assert sum(nodes for _, _, nodes in rows) == 94_833
+    assert digest == "3824a9d93d0410e8"
 
 
 # The search as it was before the chain bitmasks: hooks name each
@@ -660,10 +689,10 @@ def test_run_plan_matches_reference_at_eight():
 
 
 def test_el_search_does_not_depend_on_element_names(small_lattices):
-    """A renamed lattice gets the same search, and its labeling, pulled
-    back, is the original one moved by an automorphism: the one that the
-    renamed copy's canonical relabeling leaves over (the identity unless
-    L has symmetries)."""
+    """A renamed lattice gets the same decision and the same search, and
+    the search's labeling, pulled back, is the original one moved by an
+    automorphism: the one that the renamed copy's canonical relabeling
+    leaves over (the identity unless L has symmetries)."""
     rng = random.Random(17)
     moved = 0
     for L in small_lattices:
@@ -671,6 +700,10 @@ def test_el_search_does_not_depend_on_element_names(small_lattices):
         rng.shuffle(perm)
         M = L.relabel(perm)
         want, got = el_search(L), el_search(M)
+        assert (got.status, got.nodes, got.refuted_by is None) == (
+            want.status, want.nodes, want.refuted_by is None
+        ), L
+        want, got = _search(L, DEFAULT_EL_BUDGET), _search(M, DEFAULT_EL_BUDGET)
         assert (got.status, got.nodes, got.passes) == (
             want.status, want.nodes, want.passes
         ), L
@@ -700,10 +733,11 @@ def test_el_search_plans_on_the_lattice_it_is_given(small_lattices, monkeypatch)
     monkeypatch.setattr(Lattice, "relabel", no_copy)
     monkeypatch.setattr(FinitePoset, "relabel", no_copy)
     for L, M in renamed:
-        want, got = el_search(L), el_search(M)
-        assert (got.status, got.nodes, got.passes) == (
-            want.status, want.nodes, want.passes
-        ), L
+        for search in (el_search, _search):
+            want, got = search(L, DEFAULT_EL_BUDGET), search(M, DEFAULT_EL_BUDGET)
+            assert (got.status, got.nodes, got.passes) == (
+                want.status, want.nodes, want.passes
+            ), L
 
 
 def test_el_search_runs_without_recursion():
@@ -717,3 +751,140 @@ def test_el_search_runs_without_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert (result.status, result.nodes) == ("shellable", 59)
+
+
+# ---------------------------------------------------------------------------
+# The skeleton test against a chain-listing oracle
+# ---------------------------------------------------------------------------
+
+
+def skeleton_parts(chains, i):
+    """The parts of the pure i-skeleton of the order complex of (x, y),
+    from the maximal chains of [x, y]: each chain with at least i + 2
+    covers is a facet of dimension at least i, and facets that share an
+    element lie in one part."""
+    parts = []
+    for chain in chains:
+        if len(chain) - 1 >= i + 2:
+            inner = set(chain[1:-1])
+            parts = [p for p in parts if not p & inner] + [
+                inner.union(*(p for p in parts if p & inner))
+            ]
+    return parts
+
+
+def skeleton_oracle(L):
+    "The least (x, y, i) in (l(x, y), x, y, i) order, from listed chains."
+    found = []
+    for x in range(L.n):
+        for y in range(L.n):
+            if x == y or not L.leq[x, y]:
+                continue
+            chains = list(_cover_paths(L, x, y))
+            longest = max(map(len, chains)) - 1
+            for i in range(1, longest - 1):
+                if len(skeleton_parts(chains, i)) > 1:
+                    found.append((longest, x, y, i))
+                    break
+    return min(found)[1:] if found else None
+
+
+def assert_certificate(L, certificate):
+    "The certificate rechecked from the maximal chains of its interval."
+    x, y, i = certificate
+    assert i >= 1 and x != y and L.leq[x, y]
+    assert len(skeleton_parts(list(_cover_paths(L, x, y)), i)) > 1
+
+
+@pytest.fixture(scope="module")
+def up_to_eight():
+    return [L for n in range(1, 9) for L in enumerate_lattices(n)]
+
+
+def test_skeleton_test_matches_the_chain_listing_oracle(up_to_eight):
+    "On every lattice with n <= 8 and on its dual, with the same verdict."
+    for L in up_to_eight:
+        D = dual(L)
+        want, got = disconnected_skeleton(L), disconnected_skeleton(D)
+        assert want == skeleton_oracle(L), L
+        assert got == skeleton_oracle(D), L
+        assert (want is None) == (got is None), L
+        for M, certificate in ((L, want), (D, got)):
+            if certificate is not None:
+                assert_certificate(M, certificate)
+
+
+def test_skeleton_test_refutes_no_left_modular_lattice(up_to_eight):
+    refuted = {n: 0 for n in range(1, 9)}
+    for L in up_to_eight:
+        certificate = disconnected_skeleton(L)
+        if left_modular_chain(L) is not None:
+            assert certificate is None, L
+        refuted[L.n] += certificate is not None
+    assert refuted == {1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 1, 7: 6, 8: 38}
+
+
+def test_skeleton_test_agrees_with_the_search_up_to_seven(small_lattices):
+    "Every non-left-modular class with n <= 7 is refuted, as the search says."
+    checked = 0
+    for L in small_lattices:
+        if left_modular_chain(L) is not None:
+            continue
+        searched = _search(L, DEFAULT_EL_BUDGET)
+        assert searched.status != "unknown"
+        assert (disconnected_skeleton(L) is not None) == (
+            searched.status == "not_shellable"
+        ), L
+        checked += 1
+    assert checked == 7
+
+
+def test_skeleton_test_on_the_hexagon_by_hand():
+    """The hexagon 0 -< 1 -< 3 -< 5, 0 -< 2 -< 4 -< 5: the open interval
+    (0, 5) has the two facets {1, 3} and {2, 4}, with no element in
+    common, so its 1-skeleton is disconnected.  Every smaller interval is
+    a chain."""
+    L = zoo.hexagon()
+    assert skeleton_parts(list(_cover_paths(L, 0, 5)), 1) == [{1, 3}, {2, 4}]
+    assert disconnected_skeleton(L) == (0, 5, 1)
+    assert disconnected_skeleton(dual(L)) == (5, 0, 1)
+    # Glue one extra cover 1 -< 4 in place of 1 -< 3: the open interval
+    # now has the facets {1, 4} and {2, 4}, which meet at 4.
+    glued = try_lattice(
+        poset_from_covers(6, [(0, 1), (0, 2), (1, 4), (2, 4), (3, 5), (4, 5), (1, 3)])
+    )
+    assert disconnected_skeleton(glued) is None
+
+
+def test_refuted_input_gets_no_canonical_labeling_and_no_chain_list(monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("a refuted input reached the search")
+
+    monkeypatch.setattr("latticelab.shellability.canonical_relabeling", unused)
+    monkeypatch.setattr("latticelab.shellability._cover_paths", unused)
+    for L in (zoo.hexagon(), weak_order(4), weak_order(5)):
+        result = el_search(L)
+        assert (result.status, result.nodes) == ("not_shellable", 0)
+        assert result.passes == () and result.labeling is None
+        assert_certificate(L, result.refuted_by)
+
+
+def test_weak_orders_are_refuted_in_milliseconds():
+    "S4 ended unknown after 10^7 search nodes; the skeleton test needs none."
+    for k in (4, 5):
+        L = weak_order(k)
+        start = time.perf_counter()
+        result = el_search(L, budget=0)
+        assert time.perf_counter() - start < 1.0
+        assert (result.status, result.refuted_by) == ("not_shellable", (0, 5, 1))
+
+
+def test_classify_records_the_certificate_in_place_of_the_search():
+    record = classify(zoo.hexagon())
+    assert record.el_shellable == "no"
+    assert record.witnesses["el_refuted_by"] == [0, 5, 1]
+    assert "el_search_nodes" not in record.witnesses
+    assert "el_search_budget" not in record.witnesses
+    searched = classify(zoo.jsd_not_left_modular()).witnesses
+    assert "el_refuted_by" not in searched
+    assert searched["el_search_nodes"] == 113
