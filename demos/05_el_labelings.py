@@ -2,10 +2,11 @@
 
 A left-modular chain induces an edge labeling that always verifies as an
 EL-labeling.  Lattices without such a chain may still be EL-shellable;
-el_search decides.  It first looks for an interval whose order complex
-has a disconnected pure skeleton, which refutes EL-shellability with no
-search; otherwise the exact search returns a certificate or a refutation
-(or "unknown" past its node budget).
+el_search decides in three stages.  It first looks for a left-modular
+chain and checks the labeling it induces; then for an interval whose
+order complex has a disconnected pure skeleton, which refutes
+EL-shellability with no search; otherwise the exact search returns a
+certificate or a refutation (or "unknown" past its node budget).
 """
 
 from latticelab import (

@@ -2,20 +2,13 @@
 
 from dataclasses import dataclass, field, fields
 
-from .errors import InvariantViolation
 from .irreducibles import join_irreducible_ids, length, meet_irreducibles
 from .properties import (
     is_distributive,
     is_join_semidistributive,
     is_meet_semidistributive,
-    left_modular_chain,
 )
-from .shellability import (
-    DEFAULT_EL_BUDGET,
-    el_search,
-    is_el_labeling,
-    lm_labeling,
-)
+from .shellability import DEFAULT_EL_BUDGET, el_search
 
 @dataclass(frozen=True)
 class ClassificationRecord:
@@ -69,12 +62,14 @@ def classify(L, el_budget=DEFAULT_EL_BUDGET):
     its full decision procedure.  Distributivity and left modularity are
     decided by the exact characterisations in properties.py (Birkhoff's
     one-step test, the cover form of the left-modular law), the
-    semidistributive laws by the fiber test in cover form.  A left-modular chain
-    short-circuits the shellability search because its induced labeling
-    is a certificate (which is still verified here, not assumed).  Without
-    one, el_search decides: a refutation by a disconnected skeleton is
-    recorded as the witness el_refuted_by, [x, y, i], and a search by its
-    el_search_nodes and el_search_budget.
+    semidistributive laws by the fiber test in cover form.  el_search alone
+    decides el_shellable: a left-modular chain gives it a certificate that
+    it verifies, a disconnected skeleton a refutation, and otherwise it
+    searches.  The chain it returns, left_modular_chain's, also decides
+    the left_modular flag and is its witness.  Both certificates write
+    their labeling as the witness el_labeling, the refutation its
+    [x, y, i] as el_refuted_by, and only a search writes el_search_nodes
+    and el_search_budget.
     """
     distributive, dist_violation = is_distributive(L)
     jsd, jsd_violation = is_join_semidistributive(L)
@@ -82,7 +77,8 @@ def classify(L, el_budget=DEFAULT_EL_BUDGET):
     k = length(L)
     num_j = len(join_irreducible_ids(L))
     num_m = len(meet_irreducibles(L))
-    chain = left_modular_chain(L)
+    result = el_search(L, el_budget)
+    chain = result.chain
 
     witnesses = {}
     for violation in (dist_violation, jsd_violation, msd_violation):
@@ -90,29 +86,20 @@ def classify(L, el_budget=DEFAULT_EL_BUDGET):
             witnesses[violation.kind + "_violation"] = list(violation.elements)
     if chain is not None:
         witnesses["left_modular_chain"] = list(chain)
-        labeling = lm_labeling(L, chain)
-        verdict = is_el_labeling(L, labeling)
-        if not verdict:
-            raise InvariantViolation(
-                "left-modular labeling failed the EL verifier on "
-                f"{L!r}: {verdict}"
-            )
-        el = "yes"
-    else:
-        result = el_search(L, el_budget)
-        el = {
-            "shellable": "yes",
-            "not_shellable": "no",
-            "unknown": "unknown",
-        }[result.status]
-        labeling = result.labeling
-        if result.refuted_by is not None:
-            witnesses["el_refuted_by"] = list(result.refuted_by)
-        else:
-            witnesses["el_search_nodes"] = result.nodes
-            witnesses["el_search_budget"] = result.budget
-    if labeling is not None:
-        witnesses["el_labeling"] = [[a, b, v] for (a, b), v in sorted(labeling.items())]
+    el = {
+        "shellable": "yes",
+        "not_shellable": "no",
+        "unknown": "unknown",
+    }[result.status]
+    if result.refuted_by is not None:
+        witnesses["el_refuted_by"] = list(result.refuted_by)
+    elif result.chain is None:
+        witnesses["el_search_nodes"] = result.nodes
+        witnesses["el_search_budget"] = result.budget
+    if result.labeling is not None:
+        witnesses["el_labeling"] = [
+            [a, b, v] for (a, b), v in sorted(result.labeling.items())
+        ]
 
     return ClassificationRecord(
         distributive=distributive,

@@ -263,7 +263,12 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--dot", metavar="PATH")
 
-    p = add("el", cmd_el, "exact EL-shellability decision: skeleton test, then search")
+    p = add(
+        "el",
+        cmd_el,
+        "exact EL-shellability decision: left-modular certificate, "
+        "skeleton test, then search",
+    )
     p.add_argument("file")
     p.add_argument("--el-budget", type=_el_budget, default=DEFAULT_EL_BUDGET)
     p.add_argument("--dot", metavar="PATH")

@@ -30,16 +30,20 @@ is_el_labeling_naive lists every maximal chain of every interval instead;
 it is the independent oracle the tests hold the fast verifier to, and it
 compares whole label vectors.
 
-el_search decides EL-shellability by skeleton first, then by search.
-The skeleton test, disconnected_skeleton, refutes without listing a
-chain.  It rests on two results: an EL-labeling restricts to every
-interval, so the order complex of every open interval is shellable
-(Bjorner, Trans. AMS 260, 1980), and the pure i-skeleton of a shellable
-complex is shellable (Bjorner and Wachs, Trans. AMS 348, 1996), so
-connected for i >= 1.  A disconnected pure i-skeleton of the
-order complex of some open interval (x, y) is therefore a certificate
-(x, y, i) that L is not EL-shellable.  Only an input it does not refute
-reaches the search.
+el_search decides EL-shellability in three stages: a left-modular
+certificate, then the skeleton test, then the search.  A left-modular
+lattice is EL-shellable, and the labeling that lm_labeling induces from
+a left-modular chain is an EL-labeling (McNamara and Thomas, Europ. J.
+Combin. 27, 2006); el_search checks that labeling with is_el_labeling
+rather than assume it.  The skeleton test, disconnected_skeleton,
+refutes without listing a chain.  It rests on two results: an
+EL-labeling restricts to every interval, so the order complex of every
+open interval is shellable (Bjorner, Trans. AMS 260, 1980), and the
+pure i-skeleton of a shellable complex is shellable (Bjorner and Wachs,
+Trans. AMS 348, 1996), so connected for i >= 1.  A disconnected pure
+i-skeleton of the order complex of some open interval (x, y) is
+therefore a certificate (x, y, i) that L is not EL-shellable.  Only an
+input that neither certificate decides reaches the search.
 
 The exact search, _search, searches the weak orders induced on the
 cover set: labelings inducing the same weak order are interchangeable, and
@@ -65,7 +69,7 @@ from .errors import (
 )
 from .irreducibles import _cover_paths, check_maximal_chain
 from .poset import canonical_relabeling
-from .properties import _cover_index, _left_modular_set
+from .properties import _cover_index, _left_modular_set, left_modular_chain
 
 DEFAULT_EL_BUDGET = 10_000_000
 
@@ -395,8 +399,10 @@ class ELSearchResult:
     # (plan, slice, nodes, status, prunes in PRUNE_RULES order) per pass.
     plan_size: tuple = field(default=(0, 0, 0), compare=False, repr=False)
     passes: tuple = field(default=(), compare=False, repr=False)
-    # The disconnected_skeleton certificate (x, y, i) of a refutation
-    # that ran no search; it names the input's own ids.
+    # The certificate of a decision that ran no search, in the input's
+    # own ids: the left-modular chain whose labeling is result.labeling,
+    # or the disconnected_skeleton triple (x, y, i) of a refutation.
+    chain: tuple | None = field(default=None, compare=False)
     refuted_by: tuple | None = field(default=None, compare=False)
 
     def __bool__(self):
@@ -406,6 +412,8 @@ class ELSearchResult:
     def stats(self):
         """The telemetry as a JSON-ready dict: the stage that decided, and
         for the search its plan, passes and prunes summed over passes."""
+        if self.chain is not None:
+            return {"stage": "left_modular", "chain": list(self.chain)}
         if self.refuted_by is not None:
             return {"stage": "skeleton", "refuted_by": list(self.refuted_by)}
         passes = []
@@ -612,9 +620,15 @@ _SLICE_GROWTH = 16
 
 
 def el_search(L, budget=DEFAULT_EL_BUDGET):
-    """Exact EL-shellability decision with a node budget, in two stages.
+    """Exact EL-shellability decision with a node budget, in three stages.
 
-    First disconnected_skeleton looks for an interval (x, y) and an
+    First left_modular_chain looks for a maximal chain of left-modular
+    elements.  If there is one, lm_labeling induces an EL-labeling from
+    it (McNamara and Thomas, Europ. J. Combin. 27, 2006), which
+    is_el_labeling checks; a rejected labeling raises InvariantViolation.
+    A certified input returns "shellable" with 0 nodes, the labeling,
+    and the chain as result.chain.
+    Next disconnected_skeleton looks for an interval (x, y) and an
     i >= 1 whose pure i-skeleton of the order complex of (x, y) is
     disconnected.  Such a certificate proves that L is not EL-shellable:
     an EL-labeling restricts to every interval, so the order complex of
@@ -622,23 +636,33 @@ def el_search(L, budget=DEFAULT_EL_BUDGET):
     i-skeleton of a shellable complex is shellable, so connected for
     i >= 1 (Bjorner and Wachs, Trans. AMS 348, 1996).
     A refuted input returns "not_shellable" with 0 nodes and the
-    certificate as result.refuted_by, and gets no canonical labeling and
-    no chain list.  Otherwise the exhaustive search of _search decides,
-    or returns "unknown" once it spends the budget.  The budget bounds
-    search nodes only.
+    certificate as result.refuted_by.  Neither stage computes a
+    canonical labeling or lists maximal chains.  Otherwise the
+    exhaustive search of _search decides, or returns "unknown" once it
+    spends the budget.  The budget bounds search nodes only.
 
     The status and node count depend only on the isomorphism class of L;
-    refuted_by names L's own ids.  A negative budget raises ValueError.
-    The result also carries telemetry that no verdict depends on:
-    result.plan_size and result.passes, and result.stats, the same as a
-    dict with the stage that decided ("stage": "skeleton" or "search"),
-    then either the certificate ("refuted_by") or the plan size ("plan":
+    chain, labeling and refuted_by name L's own ids.  A negative budget
+    raises ValueError.  The result also carries telemetry that no
+    verdict depends on: result.plan_size and result.passes, and
+    result.stats, the same as a dict with the stage that decided
+    ("stage": "left_modular", "skeleton" or "search"), then the chain
+    ("chain"), the certificate ("refuted_by") or the plan size ("plan":
     edges, intervals, chains), one record per pass ("passes": plan,
     slice, nodes, status, prunes per rule, counted only on failing
     nodes) and the prunes summed over passes ("prunes").
     """
     if budget < 0:
         raise ValueError(f"el_search budget must be nonnegative, got {budget}")
+    chain = left_modular_chain(L)
+    if chain is not None:
+        labeling = lm_labeling(L, chain)
+        verdict = is_el_labeling(L, labeling)
+        if not verdict:
+            raise InvariantViolation(
+                f"left-modular labeling rejected by the verifier: {verdict}"
+            )
+        return ELSearchResult("shellable", labeling, 0, budget, chain=chain)
     certificate = disconnected_skeleton(L)
     if certificate is not None:
         return ELSearchResult(
@@ -648,7 +672,7 @@ def el_search(L, budget=DEFAULT_EL_BUDGET):
 
 
 def _search(L, budget):
-    """The exhaustive search behind el_search, with no skeleton test.
+    """The exhaustive search behind el_search, with neither certificate.
 
     Backtracks over the weak orders on the cover set: each new edge either
     joins an existing label class or starts a new class in any gap, which
@@ -668,7 +692,7 @@ def _search(L, budget):
     automorphisms it finds, so symmetric inputs do not stall it: it takes
     about 1 ms on B5 and M_10, 10 ms on B7, M_20 and the weak order of S5,
     0.15 s on M_40 and 4 s on the weak order of S6 (720 elements; 2 vCPUs,
-    Python 3.11).  The tests hold the skeleton test to this search.
+    Python 3.11).  The tests hold both certificates to this search.
     """
     intervals, edge_orders = _search_plans(L)
     size = (len(L.covers), len(intervals), sum(map(len, intervals)))

@@ -256,6 +256,11 @@ def test_cli_el_stats_go_to_stderr_alone(tmp_path, capsys):
     both = capsys.readouterr()
     assert both.out == plain.out and plain.err == ""
     assert json.loads(both.err) == {"stage": "skeleton", "refuted_by": [0, 5, 1]}
+    path = lat_file(tmp_path, zoo.boolean(2))
+    assert main(["el", path, "--stats"]) == 0
+    both = capsys.readouterr()
+    assert both.out == "status: shellable\nnodes: 0\n0 1 1\n0 2 2\n1 3 2\n2 3 1\n"
+    assert json.loads(both.err) == {"stage": "left_modular", "chain": [0, 1, 3]}
     L = zoo.jsd_not_left_modular()
     path = lat_file(tmp_path, L)
     assert main(["el", path, "--stats"]) == 0

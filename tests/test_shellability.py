@@ -14,6 +14,7 @@ from latticelab.atlas import enumerate_lattices
 from latticelab.classify import classify
 from latticelab.errors import (
     ChainNotLeftModular,
+    InvariantViolation,
     PartialLabelingError,
 )
 from latticelab.irreducibles import _cover_paths, gamma, join_irreducibles, length
@@ -239,6 +240,31 @@ def test_el_search_refutes_hexagon():
     )
 
 
+def test_el_search_certifies_a_left_modular_lattice_by_its_chain():
+    L = zoo.boolean(2)
+    result = el_search(L, budget=0)
+    assert (result.status, result.nodes, result.chain) == ("shellable", 0, (0, 1, 3))
+    assert result.labeling == lm_labeling(L, (0, 1, 3))
+    assert result.stats == {"stage": "left_modular", "chain": [0, 1, 3]}
+    # A relabeled copy gets its own least chain, in its own ids.
+    M = zoo.m3().relabel([4, 2, 0, 3, 1])
+    result = el_search(M)
+    assert result.stats == {"stage": "left_modular", "chain": [4, 0, 1]}
+    assert result.chain == left_modular_chain(M)
+    assert result.labeling == lm_labeling(M, (4, 0, 1))
+    assert is_el_labeling(M, result.labeling)
+
+
+def test_el_search_checks_the_left_modular_labeling(monkeypatch):
+    "A labeling the verifier rejects is a bug, not a verdict."
+    monkeypatch.setattr(
+        "latticelab.shellability.lm_labeling",
+        lambda L, chain: dict.fromkeys(L.covers, 1),
+    )
+    with pytest.raises(InvariantViolation, match="left-modular labeling"):
+        el_search(zoo.boolean(2))
+
+
 def test_el_search_budget_exhaustion():
     # The skeleton test passes this lattice, so the search spends the budget.
     L = zoo.jsd_not_left_modular()
@@ -422,7 +448,7 @@ def test_verifier_matches_oracle_on_certificates(small_lattices):
         chain = left_modular_chain(L)
         if chain is not None:
             assert assert_matches_oracle(L, lm_labeling(L, chain))
-        result = el_search(L)
+        result = _search(L, DEFAULT_EL_BUDGET)
         if result.labeling is not None:
             assert assert_matches_oracle(L, result.labeling)
             certified += 1
@@ -549,11 +575,29 @@ def test_el_search_node_counts_are_pinned_at_eight():
     assert digest == "733eacf28ff0b837"
 
 
-def test_el_search_with_the_skeleton_test_is_pinned_at_eight():
-    """The public el_search at n = 8: the skeleton test refutes the 38
-    classes that the search with this budget refutes 11 of, and leaves
-    the other 2 non-left-modular classes to the search."""
-    rows, digest = pinned_rows(enumerate_lattices(8), budget=5000, search=el_search)
+def test_el_search_with_the_skeleton_test_is_pinned_at_eight(monkeypatch):
+    """The public el_search at n = 8, stage by stage: the left-modular
+    certificate decides 182 classes and the skeleton test 38, both with
+    no node, and the search certifies the other 2.  Without the first
+    stage, the skeleton test and then the search decide the same 222
+    classes in 94,833 nodes, the figure before the left-modular stage."""
+    lattices = enumerate_lattices(8)
+    stages = {}
+    for L in lattices:
+        result = el_search(L, 5000)
+        count, nodes = stages.get(result.stats["stage"], (0, 0))
+        stages[result.stats["stage"]] = (count + 1, nodes + result.nodes)
+    assert stages == {
+        "left_modular": (182, 0),
+        "skeleton": (38, 0),
+        "search": (2, 1_539),
+    }
+    rows, digest = pinned_rows(lattices, budget=5000, search=el_search)
+    assert status_counts(rows) == [184, 38, 0]
+    assert sum(nodes for _, _, nodes in rows) == 1_539
+    assert digest == "19ea913e34a29eab"
+    monkeypatch.setattr("latticelab.shellability.left_modular_chain", lambda L: None)
+    rows, digest = pinned_rows(lattices, budget=5000, search=el_search)
     assert status_counts(rows) == [184, 38, 0]
     assert sum(nodes for _, _, nodes in rows) == 94_833
     assert digest == "3824a9d93d0410e8"
@@ -747,7 +791,7 @@ def test_el_search_runs_without_recursion():
     # recurses once per edge of a 59-edge chain.
     sys.setrecursionlimit(len(inspect.stack(0)) + 30)
     try:
-        result = el_search(L)
+        result = _search(L, DEFAULT_EL_BUDGET)
     finally:
         sys.setrecursionlimit(limit)
     assert (result.status, result.nodes) == ("shellable", 59)
@@ -879,6 +923,35 @@ def test_weak_orders_are_refuted_in_milliseconds():
         assert (result.status, result.refuted_by) == ("not_shellable", (0, 5, 1))
 
 
+def test_left_modular_stage_needs_no_skeleton_and_no_search(up_to_eight, monkeypatch):
+    """Every left-modular lattice with n <= 8 is certified by its labeling,
+    with the skeleton test, the canonical labeling and every chain list
+    disabled."""
+    def unused(*args, **kwargs):
+        raise AssertionError("a left-modular input went past its certificate")
+
+    for name in ("canonical_relabeling", "_cover_paths", "disconnected_skeleton"):
+        monkeypatch.setattr("latticelab.shellability." + name, unused)
+    certified = 0
+    for L in up_to_eight:
+        chain = left_modular_chain(L)
+        if chain is None:
+            continue
+        result = el_search(L)
+        assert (result.status, result.nodes, result.passes) == ("shellable", 0, ()), L
+        assert result.chain == chain
+        assert result.labeling == lm_labeling(L, chain), L
+        certified += 1
+    assert certified == 1 + 1 + 1 + 2 + 5 + 14 + 47 + 182
+
+
+def test_left_modular_stage_agrees_with_the_search(up_to_eight):
+    for L in up_to_eight:
+        if left_modular_chain(L) is not None:
+            searched = _search(L, DEFAULT_EL_BUDGET)
+            assert searched.status == el_search(L).status == "shellable", L
+
+
 def test_classify_records_the_certificate_in_place_of_the_search():
     record = classify(zoo.hexagon())
     assert record.el_shellable == "no"
@@ -888,3 +961,7 @@ def test_classify_records_the_certificate_in_place_of_the_search():
     searched = classify(zoo.jsd_not_left_modular()).witnesses
     assert "el_refuted_by" not in searched
     assert searched["el_search_nodes"] == 113
+    certified = classify(zoo.boolean(2)).witnesses
+    assert certified["left_modular_chain"] == [0, 1, 3]
+    assert certified["el_labeling"] == [[0, 1, 1], [0, 2, 2], [1, 3, 2], [2, 3, 1]]
+    assert not {"el_refuted_by", "el_search_nodes", "el_search_budget"} & set(certified)
