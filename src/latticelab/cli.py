@@ -3,8 +3,9 @@
 Exit codes: 0 success; 1 a structural fact that holds for every finite
 lattice was violated (a bug, with a diagnostic dump); 2 usage or input
 errors; 3 any other exception (a bug): its traceback, then a last line
-"internal error: TYPE: MESSAGE".  '-' reads stdin wherever a file is
-expected.
+"internal error: TYPE: MESSAGE"; 141 (128 + SIGPIPE) its standard output
+was closed before everything was written, with nothing printed.  '-'
+reads stdin wherever a file is expected.
 """
 
 import argparse
@@ -44,6 +45,7 @@ EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_USAGE = 2
 _EXIT_INTERNAL = 3
+_EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer it killed
 
 
 def _read_text(path):
@@ -312,6 +314,12 @@ def main(argv=None):
     except InvariantViolation as exc:
         print(f"INVARIANT VIOLATION (library bug): {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at the null device, so that
+        # the interpreter's last flush has nowhere to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return _EXIT_BROKEN_PIPE
     except (LatticeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

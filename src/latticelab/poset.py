@@ -165,7 +165,7 @@ class FinitePoset:
 
     @cached_property
     def _canonical(self):
-        "(canonical relabeling, canonical form), searched once."
+        "(canonical relabeling, canonical form, automorphisms), searched once."
         return _canonical_search(
             self.n, self.upper_covers, self.lower_covers, self.levels
         )
@@ -246,9 +246,11 @@ def transitive_reduce(n, pairs):
 # Two-stage scheme: iterative colour refinement on (in-degree, out-degree,
 # level), then backtracking over colour-respecting relabelings choosing the
 # lexicographically least adjacency encoding, with automorphisms found on
-# the way pruning symmetric subtrees.  Exact and deterministic; the atlas
-# searches every candidate up to n = 10, and symmetric lattices such as
-# B7 (128 elements) or M_40 take under a second.
+# the way pruning symmetric subtrees.  Exact and deterministic; symmetric
+# lattices such as B7 (128 elements) or M_40 take under a second.  The
+# search returns the automorphisms it found, in canonical slot ids, so
+# they do not depend on how the input was labeled; the atlas searches one
+# candidate per orbit of its parent's automorphisms up to n = 10.
 
 
 def _refined_colors(ups, downs, levels):
@@ -285,10 +287,16 @@ def _ranks(keys):
 
 
 def _canonical_search(n, ups, downs, levels):
-    """(perm, form) for the poset on 0..n-1 whose element v has the upper
-    covers ups[v], the lower covers downs[v] and the level levels[v]: the
-    colour-respecting relabeling whose encoding is least, and that
-    encoding.  The cover lists may come in any order.
+    """(perm, form, automorphisms) for the poset on 0..n-1 whose element
+    v has the upper covers ups[v], the lower covers downs[v] and the level
+    levels[v]: the colour-respecting relabeling whose encoding is least,
+    that encoding, and the automorphisms the search found on the way.
+    The cover lists may come in any order.
+
+    Each automorphism is a tuple g of canonical slot ids, g[s] the slot
+    that slot s goes to, so it does not depend on how the input was
+    labeled; a poset with none found gives ().  They need not generate
+    the whole automorphism group.
 
     The encoding lists, slot by slot, the chunk of slot s: whether the
     element on slot t is covered by it, for t < s, then whether it is
@@ -322,7 +330,7 @@ def _canonical_search(n, ups, downs, levels):
     ``below`` is the slot where the path went strictly below the best.
     """
     if n == 0:
-        return (), n.to_bytes(4, "big")
+        return (), n.to_bytes(4, "big"), ()
     colors = _refined_colors(ups, downs, levels)
     by_color = {}
     for v, c in enumerate(colors):
@@ -341,6 +349,7 @@ def _canonical_search(n, ups, downs, levels):
     todo = [iter(slot_class[0])]  # an empty path: every chunk is 0
     tried = [0]  # per node, the candidates taken there, bit v for v
     fixing = [[]]  # per node, the automorphisms found that fix the path
+    found = fixing[0]  # the root's: every automorphism found
     back = None  # the slot to go back to after an automorphism
     while todo:
         s = len(todo) - 1
@@ -420,7 +429,9 @@ def _canonical_search(n, ups, downs, levels):
     width = n * (n - 1)
     pad = -width % 8
     form = (bits << pad).to_bytes((width + pad) // 8, "big")
-    return tuple(perm), n.to_bytes(4, "big") + form
+    # g takes element w to g[w], so it takes slot s to perm[g[best_path[s]]].
+    automorphisms = tuple(tuple(perm[g[w]] for w in best_path) for g in found)
+    return tuple(perm), n.to_bytes(4, "big") + form, automorphisms
 
 
 def canonical_relabeling(p):
@@ -439,16 +450,19 @@ def canonical_form(p):
     return p._canonical[1]
 
 
-def _seed_canonical(q, form):
+def _seed_canonical(q, form, automorphisms):
     """Record on q, a canonically labeled poset, that form is its canonical
-    form.
+    form and that automorphisms, found by the search that gave form, are
+    automorphisms of q.
 
     On a canonically labeled poset the search's first leaf is the identity
-    path and no leaf is strictly smaller, so its result would be the
-    identity and form.  Seed only a form the search computed: a form read
-    from a file need not be canonical, so entry_lattice does not seed.
+    path and no leaf is strictly smaller, so its relabeling would be the
+    identity and its form form.  The automorphisms are in canonical slot
+    ids, which on q are its element ids.  Seed only what the search
+    computed: a form read from a file need not be canonical, so
+    entry_lattice does not seed.
     """
-    q.__dict__["_canonical"] = (tuple(range(q.n)), form)
+    q.__dict__["_canonical"] = (tuple(range(q.n)), form, automorphisms)
     return q
 
 
@@ -478,8 +492,8 @@ def poset_from_canonical(form):
 
 def canonicalize(p):
     "Relabeled copy of p in canonical form."
-    perm, form = p._canonical
-    return _seed_canonical(p.relabel(perm), form)
+    perm, form, automorphisms = p._canonical
+    return _seed_canonical(p.relabel(perm), form, automorphisms)
 
 
 def is_isomorphic(p, q):

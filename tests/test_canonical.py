@@ -14,7 +14,6 @@ from latticelab.atlas import (
     _child,
     _down_set_extensions,
     _lattices,
-    _masks_with_at_least,
     enumerate_lattices,
 )
 from latticelab.errors import InvariantViolation
@@ -262,18 +261,21 @@ def test_search_runs_once_per_poset(monkeypatch):
 
 
 def test_enumeration_searches_once_per_candidate(monkeypatch):
-    """One search per candidate lattice with 2..8 elements whose new
-    element is a largest coatom (451), plus at most one for the
-    one-element base; the returned lattices are seeded, not searched."""
+    """One search per candidate lattice whose new element is a largest
+    coatom and whose mask is least in its orbit under the parent's
+    automorphisms, and one for the one-element base: 314 with at most 8
+    elements, of 452 without the orbit rule, and 7,946 with at most 10,
+    of 11,214.  The returned lattices are seeded, not searched."""
     calls = []
     record_searches(monkeypatch, calls)
     _lattices.cache_clear()
     lattices = [L for n in range(1, 9) for L in enumerate_lattices(n)]
-    assert 451 <= len(calls) <= 452
-    searched = len(calls)
+    assert len(calls) == 314
     for L in lattices:
         canonical_relabeling(L.poset), canonical_form(L.poset)
-    assert len(calls) == searched
+    assert len(calls) == 314
+    enumerate_lattices(10)
+    assert len(calls) == 7946
 
 
 def test_enumeration_past_one_element_reduces_decodes_and_validates_nothing(
@@ -301,8 +303,9 @@ def test_candidates_equal_their_transitive_reductions():
             for mask in _down_set_extensions(L):
                 below = [(x, n - 1) for x in range(n - 1) if mask >> x & 1]
                 want = transitive_reduce(n, [*L.covers, *below, (n - 1, L.top)])
-                perm, form = _canonical_search(n, *_candidate_covers(L, mask))
-                got = _child(L, mask, perm, form)
+                canonical = _canonical_search(n, *_candidate_covers(L, mask))
+                perm = canonical[0]
+                got = _child(L, mask, canonical)
                 inverse = np.empty(n, dtype=np.intp)
                 inverse[list(perm)] = np.arange(n)
                 relabeled = {(perm[a], perm[b]) for a, b in want.covers}
@@ -350,7 +353,7 @@ def test_a_child_over_a_cut_that_is_not_principal_is_an_invariant_violation():
     L = next(L for L in _lattices(4) if len(L.coatoms) == 2)
     mask = sum(1 << c for c in L.coatoms)
     with pytest.raises(InvariantViolation):
-        _child(L, mask, tuple(range(5)), b"")
+        _child(L, mask, (tuple(range(5)), b"", ()))
 
 
 def reference_extension_masks(L):
@@ -378,7 +381,7 @@ def test_largest_coatom_rule_keeps_every_class():
 
 def test_candidates_per_level():
     """The scan yields only the extensions whose new element is a largest
-    coatom: one per canonical search of the enumeration."""
+    coatom; the enumerator searches those least in their orbit."""
     counts = [
         sum(len(_down_set_extensions(L)) for L in _lattices(n - 1))
         for n in range(2, 9)
@@ -400,13 +403,6 @@ def test_long_chain_without_recursion():
     assert is_isomorphic(chain, shuffled_chain)
 
 
-def test_masks_with_at_least_a_size_in_increasing_order():
-    for width in range(9):
-        for need in range(width + 3):
-            want = [m for m in range(1 << width) if m.bit_count() >= need]
-            assert list(_masks_with_at_least(width, need)) == want, (width, need)
-
-
 def test_down_set_extensions_match_the_reference():
     "The reference scan, kept where the new element is a largest coatom."
     for n in range(1, 9):
@@ -422,6 +418,116 @@ def m_k(k):
     "The lattice with k atoms between a bottom and a top."
     pairs = [(0, i) for i in range(1, k + 1)] + [(i, k + 1) for i in range(1, k + 1)]
     return try_lattice(transitive_reduce(k + 2, pairs))
+
+
+def test_orbit_pruning_keeps_the_classes_of_the_unpruned_loop():
+    """Searching every extension mask and keeping the first candidate per
+    form gives, class for class, the lattices the enumerator keeps when
+    it skips the masks a parent's automorphisms map to smaller ones."""
+    for n in range(2, 9):
+        forms = {}
+        for L in _lattices(n - 1):
+            for mask in _down_set_extensions(L):
+                canonical = _canonical_search(n, *_candidate_covers(L, mask))
+                forms.setdefault(canonical[1], (L, mask, canonical))
+        want = [_child(*forms[form]) for form in sorted(forms)]
+        got = _lattices(n)
+        assert len(got) == len(want)
+        for M, W in zip(got, want):
+            assert M._canonical == W._canonical
+            assert M.covers == W.covers and np.array_equal(M.leq, W.leq)
+            assert np.array_equal(M.join, W.join)
+            assert np.array_equal(M.meet, W.meet)
+            assert (M.bot, M.top) == (W.bot, W.top)
+
+
+def slot_covers(p):
+    "p's covers in canonical slot ids."
+    perm = canonical_relabeling(p)
+    return {(perm[a], perm[b]) for a, b in p.covers}
+
+
+def maps_covers_onto_covers(g, covers):
+    return sorted(g) == list(range(len(g))) and {
+        (g[a], g[b]) for a, b in covers
+    } == covers
+
+
+def group_order(n, generators):
+    "The order of the permutation group the generators generate."
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        f = todo.pop()
+        for g in generators:
+            h = tuple(g[x] for x in f)
+            if h not in group:
+                group.add(h)
+                todo.append(h)
+    return len(group)
+
+
+def count_automorphisms(p):
+    """Brute force: the bijections that map covers onto covers, built
+    element by element in id order, each image checked against the
+    images already chosen."""
+    n, covers = p.n, set(p.covers)
+    image = []
+    count = 0
+    todo = [iter(range(n))]
+    while todo:
+        for y in todo[-1]:
+            x = len(image)
+            if y in image:
+                continue
+            if all(
+                ((w, x) in covers) == ((z, y) in covers)
+                and ((x, w) in covers) == ((y, z) in covers)
+                for w, z in enumerate(image)
+            ):
+                image.append(y)
+                if len(image) == n:
+                    count += 1
+                    image.pop()
+                    continue
+                todo.append(iter(range(n)))
+                break
+        else:
+            todo.pop()
+            if image:
+                image.pop()
+    return count
+
+
+def test_returned_automorphisms_generate_the_automorphism_group():
+    """Each automorphism the search returns maps covers onto covers, in
+    canonical slot ids, and for every class with at most 8 elements they
+    generate a group of the order a brute-force count gives."""
+    for n in range(1, 9):
+        for L in enumerate_lattices(n):
+            automorphisms = L._canonical[2]
+            covers = set(L.covers)
+            assert all(maps_covers_onto_covers(g, covers) for g in automorphisms)
+            assert group_order(n, automorphisms) == count_automorphisms(L), L
+
+
+@pytest.mark.parametrize(
+    "make, order",
+    [
+        (lambda: zoo.boolean(5), 120),
+        (lambda: m_k(8), 40320),  # M8 has ten elements
+        (zoo.hexagon, 2),
+        (lambda: weak_order(4), 2),
+    ],
+)
+def test_returned_automorphisms_of_symmetric_lattices(make, order):
+    "Given shuffled, and read in canonical slot ids."
+    q = shuffled(make().poset, random.Random(17))
+    automorphisms = q._canonical[2]
+    covers = slot_covers(q)
+    assert all(maps_covers_onto_covers(g, covers) for g in automorphisms)
+    assert canonicalize(q)._canonical[2] == automorphisms
+    assert group_order(q.n, automorphisms) == order
 
 
 def test_search_matches_the_reference_on_symmetric_lattices():

@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -457,6 +461,30 @@ def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2
+
+
+def test_cli_closed_stdout_exits_141_with_nothing_printed():
+    """A reader that takes one line and closes the pipe, as `head -1`
+    does.  The atlas to n = 8 is 152 kB, more than a pipe holds, so the
+    writer is still writing when the pipe closes.  Its stderr holds the
+    progress lines alone."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "latticelab.cli", "atlas", "--max-n", "8"],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b"{")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    totals = (1, 2, 3, 5, 10, 25, 78, 300)
+    assert err == "".join(f"n={n}: {t} entries so far\n" for n, t in enumerate(totals, 1))
 
 
 def test_cli_implications_flags_forged_atlas(tmp_path, capsys):
