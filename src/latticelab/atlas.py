@@ -12,13 +12,17 @@ extensions that pass, the generator searches one per orbit of the
 parent's automorphisms, which the parent's own canonical search found:
 7,946 searches in all, the one-element base included, for 7,372
 classes.  Everything about a child but its canonical labeling comes
-from its parent.  A candidate is searched on
-cover lists and levels edited from the parent's, with no poset built;
-only a kept class is built, its covers, order and join and meet tables
-read off the parent's and written straight into canonical slots.  So
-past one element the generator neither reduces, decodes a form nor
-calls try_lattice.  The naive oracle filters all upper-triangular cover
-sets and exists only to cross-check the generator at small sizes.
+from its parent.  A candidate is searched on cover lists and levels
+edited from the parent's, with no poset built.  Only a kept class is
+built, from the upper covers its search ran on and its parent's order
+and join and meet tables, and a level's kept classes are built a block
+at a time: their parents' tables are stacked, the new element's row and
+column added to all of them at once, and one fancy-index pass writes
+them into canonical slots.  Each class's tables are read-only views of
+its block's arrays.  So past one element the generator neither
+reduces, decodes a form nor calls try_lattice.  The naive oracle
+filters all upper-triangular cover sets and exists only to cross-check
+the generator at small sizes.
 """
 
 import json
@@ -29,6 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import lattice
 from .classify import ClassificationRecord, classify
 from .errors import (
     AtlasParseError,
@@ -125,53 +130,80 @@ def _candidate_covers(L, mask):
     return ups, downs, levels
 
 
-def _child(L, mask, canonical):
-    """The class of the candidate L + mask as a canonically labeled
-    Lattice, read off L: canonical is the candidate's (perm, form,
-    automorphisms), as _canonical_search returns them.
+def _class_block(n, block):
+    """The classes of a block of candidates with n elements, as
+    canonically labeled Lattices read off their parents.  Each candidate
+    is (L, mask, perm, automorphisms, form, ups): the parent L, the
+    down-set mask, the candidate's canonical search result and its upper
+    covers as _candidate_covers edited them.
 
-    The covers are those _candidate_covers lists.  leq is L's, with the
-    column of e true on mask and on e, and its row true on e and the
-    top.  On L's elements the meet is L's, and the join is L's but that
-    two members of mask whose join in L is the top now join to e.  e
-    joins a member of mask to e and anything else to the top.  The meet
-    of e and an element x below the top is the element whose down-set is
-    mask cut below x; the scan made that cut principal, and
-    InvariantViolation is raised if it is not.  e meets the top to e, and
-    e is the bottom when L has one element, where mask is empty.  The
-    covers, order and tables are written straight into canonical slots.
+    The k parents' tables are gathered into (k, n, n) arrays and each
+    class's tables are views of them, read-only.  leq is L's, with the
+    column of e = n - 1 true on mask and on e, and its row true on e and
+    the top.  On L's elements the meet is L's, and the join is L's but
+    that two members of mask whose join in L is the top now join to e.
+    e joins a member of mask to e and anything else to the top.  The
+    meet of e and an element x below the top is the member of mask cut
+    below x with the largest down-set; the scan made that cut principal,
+    the down-set of this member, and InvariantViolation is raised if it
+    is not.  e meets the top to e, and e is the bottom when L has one
+    element, where mask is empty.  One fancy-index pass moves every
+    class into canonical slots.
     """
-    n, e, top, down = L.n + 1, L.n, L.top, L.down_sets
-    perm, form, automorphisms = canonical
-    ups = _candidate_covers(L, mask)[0]
-    leq = np.zeros((n, n), dtype=bool)
-    leq[:e, :e] = L.leq
-    leq[:e, e] = [mask >> x & 1 for x in range(e)]
-    leq[e, [e, top]] = True
-    inside = leq[:e, e]
-    index = {d: x for x, d in enumerate(down)}
-    meet_e = [index.get(mask & d) for d in down]
-    meet_e[top] = e
-    if None in meet_e:
-        x = meet_e.index(None)
+    k, e = len(block), n - 1
+    each = np.arange(k)
+    parents = [c[0] for c in block]
+    tops = np.array([L.top for L in parents], dtype=np.int32)
+    masks = np.array([c[1] for c in block], dtype=np.int64)
+    leq = np.zeros((k, n, n), dtype=bool)
+    join = np.empty((k, n, n), dtype=np.int32)
+    meet = np.empty((k, n, n), dtype=np.int32)
+    leq[:, :e, :e] = [L.leq for L in parents]
+    inside = (masks[:, None] >> np.arange(e) & 1).astype(bool)
+    leq[:, :e, e] = inside
+    leq[:, e, e] = True
+    leq[each, e, tops] = True
+
+    join[:, :e, :e] = [L.join for L in parents]
+    old = join[:, :e, :e]
+    old[(old == tops[:, None, None]) & inside[:, :, None] & inside[:, None, :]] = e
+    join[:, e, :e] = join[:, :e, e] = np.where(inside, e, tops[:, None])
+
+    # cut[c, y, x]: y is in mask and below x; the meet of e and x is the
+    # y in the cut with the largest down-set, if its down-set is the cut.
+    below = leq[:, :e, :e]
+    cut = inside[:, :, None] & below
+    height = below.sum(axis=1)  # height[c, y] = |down-set of y|
+    meet_e = np.where(cut, height[:, :, None], -1).argmax(axis=1)
+    cut_of = np.take_along_axis(below, meet_e[:, None, :], axis=2)
+    principal = (cut_of == cut).all(axis=1)
+    principal[each, tops] = True
+    if not principal.all():
+        c, x = np.argwhere(~principal)[0].tolist()
+        mask = block[c][1]
         raise InvariantViolation(f"down-set {mask:#b} cut below {x} is not principal")
-    join = np.empty((n, n), dtype=np.int32)
-    meet = np.empty((n, n), dtype=np.int32)
-    join[:e, :e] = np.where((L.join == top) & inside & inside[:, None], e, L.join)
-    join[e, :e] = join[:e, e] = np.where(inside, e, top)
-    meet[:e, :e] = L.meet
-    meet[e, :e] = meet[:e, e] = meet_e
-    join[e, e] = meet[e, e] = e
-    bot = L.bot if mask else e
-    # Element v goes to slot perm[v]: slot s holds element inverse[s].
-    ids = np.asarray(perm, dtype=np.int32)
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[ids] = np.arange(n)
-    square = np.ix_(inverse, inverse)
-    covers = [(perm[a], perm[b]) for a, bs in enumerate(ups) for b in bs]
-    q = FinitePoset(n, covers, leq[square])
-    M = Lattice(q, ids[join[square]], ids[meet[square]], perm[bot], perm[top])
-    return _seed_canonical(M, form, automorphisms)
+    meet[:, :e, :e] = [L.meet for L in parents]
+    meet[:, e, :e] = meet[:, :e, e] = meet_e
+    meet[each, e, tops] = meet[each, tops, e] = e
+    join[:, e, e] = meet[:, e, e] = e
+
+    # Element v of class c goes to slot perm[v]: slot s holds inverse[c, s].
+    ids = np.array([c[2] for c in block], dtype=np.int32)
+    inverse = np.argsort(ids, axis=1)
+    index = each[:, None, None], inverse[:, :, None], inverse[:, None, :]
+    leq = leq[index]
+    join = ids[index[0], join[index]]
+    meet = ids[index[0], meet[index]]
+    for table in (leq, join, meet):
+        table.flags.writeable = False
+    classes = []
+    for c, (L, mask, perm, automorphisms, form, ups) in enumerate(block):
+        covers = [(perm[a], perm[b]) for a, bs in enumerate(ups) for b in bs]
+        q = FinitePoset(n, covers, leq[c])
+        bot = perm[L.bot if mask else e]
+        M = Lattice(q, join[c], meet[c], bot, perm[L.top])
+        classes.append(_seed_canonical(M, form, automorphisms))
+    return classes
 
 
 def _least_in_orbit(mask, automorphisms):
@@ -203,10 +235,12 @@ def _lattices(n):
     _down_set_extensions; the one-element lattice is the only candidate
     for n = 1.  Its one canonical search, on the cover lists and levels
     _candidate_covers edits from L's, rejects isomorphs, and a level
-    keeps, per form, only the first candidate's parent, D and search
-    result.  Each class is then built from its parent's tables by
-    _child, seeded with its relabeling, form and automorphisms so that
-    it is never searched again.
+    keeps, per form, only the first candidate's parent, D, search result
+    and upper covers.  In the order of their forms, the classes are then
+    built by _class_block from their parents' tables, in blocks of as
+    many classes as fit lattice._BLOCK table cells, and each is seeded
+    with its relabeling, form and automorphisms so that it is never
+    searched again.
 
     A mask that some product of L's automorphisms maps to a smaller one
     is not searched, and this changes no class.  Masks are tried in
@@ -243,13 +277,19 @@ def _lattices(n):
         return (L,)
     forms = {}
     for L in _lattices(n - 1):
-        automorphisms = L._canonical[2]
         for mask in _down_set_extensions(L):
-            if not _least_in_orbit(mask, automorphisms):
+            if not _least_in_orbit(mask, L._canonical[2]):
                 continue
-            canonical = _canonical_search(n, *_candidate_covers(L, mask))
-            forms.setdefault(canonical[1], (L, mask, canonical))
-    return tuple(_child(*forms[form]) for form in sorted(forms))
+            ups, downs, levels = _candidate_covers(L, mask)
+            perm, form, automorphisms = _canonical_search(n, ups, downs, levels)
+            if form not in forms:
+                forms[form] = (L, mask, perm, automorphisms, form, ups)
+    order = sorted(forms)
+    size = max(1, lattice._BLOCK // (n * n))
+    classes = []
+    for i in range(0, len(order), size):
+        classes += _class_block(n, [forms.pop(form) for form in order[i:i + size]])
+    return tuple(classes)
 
 
 def _check_practical(n):

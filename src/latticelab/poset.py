@@ -263,12 +263,9 @@ def _refined_colors(ups, downs, levels):
         size = [0] * n
         for c in colors:
             size[c] += 1
+        color = colors.__getitem__
         signature = [
-            (
-                c,
-                tuple(sorted([colors[w] for w in down])),
-                tuple(sorted([colors[w] for w in up])),
-            )
+            (c, tuple(sorted(map(color, down))), tuple(sorted(map(color, up))))
             if size[c] > 1
             else (c,)
             for c, down, up in zip(colors, downs, ups)
@@ -305,8 +302,11 @@ def _canonical_search(n, ups, downs, levels):
     explicit stack; a subtree is cut once its chunks exceed the best
     leaf's, and the first least leaf wins.
 
-    Three rules skip only subtrees that cannot hold the first least
+    Four rules skip only subtrees that cannot hold the first least
     leaf, so they change no (perm, form):
+    - A refined colouring that is already discrete leaves one candidate
+      per slot, so its path is the one leaf and the search packs it
+      with no stack walk and no automorphism.
     - While the path is strictly below the best leaf, or there is none
       yet, a node keeps only its candidates with the least chunk: every
       path extends to a leaf, and leaves compare chunk by chunk.
@@ -332,6 +332,14 @@ def _canonical_search(n, ups, downs, levels):
     if n == 0:
         return (), n.to_bytes(4, "big"), ()
     colors = _refined_colors(ups, downs, levels)
+    if max(colors) + 1 == n:
+        # A discrete colouring is the one leaf: slot colors[v] holds v.
+        # Each chunk is v's whole row; the packing keeps the bits of the
+        # slots before v's own.
+        bit = [1 << (n - 1 - c) for c in colors].__getitem__
+        best_path = sorted(range(n), key=colors.__getitem__)
+        best = [sum(map(bit, downs[v])) << n | sum(map(bit, ups[v])) for v in best_path]
+        return _packed(n, best_path, best, ())
     by_color = {}
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)
@@ -416,6 +424,13 @@ def _canonical_search(n, ups, downs, levels):
         tried.append(0)
         fixing.append([g for g in fix if g[v] == v] if fix else [])
 
+    return _packed(n, best_path, best, found)
+
+
+def _packed(n, best_path, best, found):
+    """_canonical_search's (perm, form, automorphisms) for its least leaf
+    best_path, with the chunks best, and the automorphisms found as maps
+    of elements."""
     perm = [0] * n
     for slot, v in enumerate(best_path):
         perm[v] = slot

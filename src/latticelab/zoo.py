@@ -5,6 +5,8 @@ property grid: each satisfies exactly the combination its name states and
 refutes the converse implications.
 """
 
+import itertools
+
 from .lattice import ideal_lattice, try_lattice
 from .poset import poset_from_covers
 
@@ -25,6 +27,22 @@ def boolean(k):
     "Boolean lattice of all subsets of a k-set, via the ideal construction."
     lattice, _ = ideal_lattice(antichain(k))
     return lattice
+
+
+def weak_order(k):
+    """The weak order on the permutations of k letters: w is covered by the
+    swaps of its adjacent ascents.  Semidistributive, not distributive for
+    k >= 3; length k(k-1)/2, and 2^k - k - 1 join and as many meet
+    irreducibles."""
+    perms = sorted(itertools.permutations(range(k)))
+    index = {w: i for i, w in enumerate(perms)}
+    covers = [
+        (index[w], index[w[:i] + (w[i + 1], w[i]) + w[i + 2:]])
+        for w in perms
+        for i in range(k - 1)
+        if w[i] < w[i + 1]
+    ]
+    return try_lattice(poset_from_covers(len(perms), covers))
 
 
 def m3():

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -8,6 +7,7 @@ from latticelab import zoo
 from latticelab.errors import CapExceededError
 from latticelab.lattice import dual, ideal_lattice, try_lattice
 from latticelab.poset import poset_from_covers, transitive_reduce
+from latticelab.zoo import weak_order
 
 # Every property-based test draws the same examples on every run, without a
 # per-example time limit and without an example database on disk.
@@ -48,21 +48,6 @@ def random_ideal_posets(seed, count, k=10, cap=300):
             continue
         out.append(poset)
     return out
-
-
-def weak_order(k):
-    """The weak order on the permutations of k letters: w is covered by the
-    swaps of its adjacent ascents.  Semidistributive, not distributive for
-    k >= 3."""
-    perms = sorted(itertools.permutations(range(k)))
-    index = {w: i for i, w in enumerate(perms)}
-    covers = [
-        (index[w], index[w[:i] + (w[i + 1], w[i]) + w[i + 2:]])
-        for w in perms
-        for i in range(k - 1)
-        if w[i] < w[i + 1]
-    ]
-    return try_lattice(poset_from_covers(len(perms), covers))
 
 
 def m3_on_chain(k):

@@ -43,7 +43,7 @@ def test_a_second_enumeration_returns_the_same_lattices(monkeypatch):
     calls = []
     for module, name in (
         (atlas_module, "try_lattice"),
-        (atlas_module, "_child"),
+        (atlas_module, "_class_block"),
         (atlas_module, "_candidate_covers"),
         (atlas_module, "_canonical_search"),
         (poset_module, "_canonical_search"),

@@ -11,7 +11,7 @@ import pytest
 from latticelab import zoo
 from latticelab.atlas import (
     _candidate_covers,
-    _child,
+    _class_block,
     _down_set_extensions,
     _lattices,
     enumerate_lattices,
@@ -293,27 +293,36 @@ def test_enumeration_past_one_element_reduces_decodes_and_validates_nothing(
     assert len(enumerate_lattices(8)) == 222
 
 
+def candidates(n):
+    """Every candidate with n elements, searched, in scan order, as
+    _class_block takes it."""
+    out = []
+    for L in _lattices(n - 1):
+        for mask in _down_set_extensions(L):
+            ups, downs, levels = _candidate_covers(L, mask)
+            perm, form, automorphisms = _canonical_search(n, ups, downs, levels)
+            out.append((L, mask, perm, automorphisms, form, ups))
+    return out
+
+
 def test_candidates_equal_their_transitive_reductions():
     """Each candidate with at most 8 elements, built from its parent by
-    _child with no reduction, is the poset transitive_reduce makes of the
-    parent's covers, the new element over the mask and under the top,
-    relabeled by the candidate's canonical relabeling."""
+    _class_block with no reduction, in one block per level, is the poset
+    transitive_reduce makes of the parent's covers, the new element over
+    the mask and under the top, relabeled by the candidate's canonical
+    relabeling."""
     for n in range(2, 9):
-        for L in _lattices(n - 1):
-            for mask in _down_set_extensions(L):
-                below = [(x, n - 1) for x in range(n - 1) if mask >> x & 1]
-                want = transitive_reduce(n, [*L.covers, *below, (n - 1, L.top)])
-                canonical = _canonical_search(n, *_candidate_covers(L, mask))
-                perm = canonical[0]
-                got = _child(L, mask, canonical)
-                inverse = np.empty(n, dtype=np.intp)
-                inverse[list(perm)] = np.arange(n)
-                relabeled = {(perm[a], perm[b]) for a, b in want.covers}
-                assert set(got.covers) == relabeled, (L, mask)
-                assert got.leq.dtype == bool
-                assert np.array_equal(
-                    got.leq, want.leq[np.ix_(inverse, inverse)]
-                ), (L, mask)
+        block = candidates(n)
+        for (L, mask, perm, *_), got in zip(block, _class_block(n, block)):
+            below = [(x, n - 1) for x in range(n - 1) if mask >> x & 1]
+            want = transitive_reduce(n, [*L.covers, *below, (n - 1, L.top)])
+            inverse = np.empty(n, dtype=np.intp)
+            inverse[list(perm)] = np.arange(n)
+            relabeled = {(perm[a], perm[b]) for a, b in want.covers}
+            assert set(got.covers) == relabeled, (L, mask)
+            assert got.leq.dtype == bool
+            relabeled_leq = want.leq[np.ix_(inverse, inverse)]
+            assert np.array_equal(got.leq, relabeled_leq), (L, mask)
 
 
 def test_candidate_covers_equal_the_candidate_posets():
@@ -332,28 +341,68 @@ def test_candidate_covers_equal_the_candidate_posets():
                 assert tuple(levels) == p.levels, (L, mask)
 
 
+def assert_same_class(got, want):
+    "Equal covers, order, int32 tables, bottom and top."
+    assert got.covers == want.covers
+    assert got.leq.dtype == bool and np.array_equal(got.leq, want.leq)
+    for table, other in ((got.join, want.join), (got.meet, want.meet)):
+        assert table.dtype == np.int32 and np.array_equal(table, other)
+    assert (got.bot, got.top) == (want.bot, want.top)
+
+
 def test_classes_equal_their_decoded_forms():
-    """Each class with at most 8 elements, built from its parent's
-    tables, is the lattice try_lattice makes of its decoded form, with
-    int32 tables, and its form is what a fresh search finds."""
-    for n in range(1, 9):
+    """Each class with at most 9 elements, built from its parent's
+    tables, is the lattice try_lattice makes of its decoded form, and
+    its form is what a fresh search finds.  The 1,078 classes with 9
+    elements take more than one block."""
+    for n in range(1, 10):
         for L in enumerate_lattices(n):
             form = canonical_form(L)
             want = try_lattice(poset_from_canonical(form))
-            assert L.covers == want.covers
-            assert L.leq.dtype == bool and np.array_equal(L.leq, want.leq)
-            for got, table in ((L.join, want.join), (L.meet, want.meet)):
-                assert got.dtype == np.int32 and np.array_equal(got, table)
-            assert (L.bot, L.top) == (want.bot, want.top)
+            assert_same_class(L, want)
             assert canonical_form(want) == form
+
+
+@pytest.mark.parametrize("size", [1, 7])
+def test_blocks_of_any_size_build_the_same_classes(monkeypatch, size):
+    """Built in blocks of one class or of seven, every class with at most
+    9 elements is the one the default blocks give, with the same
+    canonical search result, and the lattice of its decoded form, whose
+    own search finds the identity relabeling and the same form."""
+    import latticelab.lattice as lattice_module
+
+    default = {n: _lattices(n) for n in range(1, 10)}
+    _lattices.cache_clear()
+    try:
+        for n in range(1, 10):
+            monkeypatch.setattr(lattice_module, "_BLOCK", size * n * n)
+            got = _lattices(n)
+            assert len(got) == len(default[n])
+            for L, D in zip(got, default[n]):
+                assert L._canonical == D._canonical
+                assert_same_class(L, D)
+                W = try_lattice(poset_from_canonical(L._canonical[1]))
+                assert W._canonical[:2] == L._canonical[:2]
+                assert_same_class(L, W)
+    finally:
+        _lattices.cache_clear()
+
+
+def test_enumerated_tables_cannot_be_made_writable():
+    "The tables are views of read-only blocks shared by the whole level."
+    L = enumerate_lattices(9)[500]
+    for table in (L.leq, L.join, L.meet):
+        with pytest.raises(ValueError):
+            table.flags.writeable = True
 
 
 def test_a_child_over_a_cut_that_is_not_principal_is_an_invariant_violation():
     "Over {a, b} in B2, b cut below a is {a}, no element's down-set."
     L = next(L for L in _lattices(4) if len(L.coatoms) == 2)
     mask = sum(1 << c for c in L.coatoms)
+    ups = _candidate_covers(L, mask)[0]
     with pytest.raises(InvariantViolation):
-        _child(L, mask, (tuple(range(5)), b"", ()))
+        _class_block(5, [(L, mask, tuple(range(5)), (), b"", ups)])
 
 
 def reference_extension_masks(L):
@@ -426,11 +475,9 @@ def test_orbit_pruning_keeps_the_classes_of_the_unpruned_loop():
     it skips the masks a parent's automorphisms map to smaller ones."""
     for n in range(2, 9):
         forms = {}
-        for L in _lattices(n - 1):
-            for mask in _down_set_extensions(L):
-                canonical = _canonical_search(n, *_candidate_covers(L, mask))
-                forms.setdefault(canonical[1], (L, mask, canonical))
-        want = [_child(*forms[form]) for form in sorted(forms)]
+        for candidate in candidates(n):
+            forms.setdefault(candidate[4], candidate)
+        want = _class_block(n, [forms[form] for form in sorted(forms)])
         got = _lattices(n)
         assert len(got) == len(want)
         for M, W in zip(got, want):

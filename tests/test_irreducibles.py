@@ -28,6 +28,7 @@ from latticelab.irreducibles import (
 )
 from latticelab.lattice import Lattice, dual, ideal_lattice, interval
 from latticelab.poset import FinitePoset, poset_from_covers
+from latticelab.properties import is_distributive, is_semidistributive
 
 
 def fig1d():
@@ -44,6 +45,22 @@ def test_hexagon_has_four_join_irreducibles():
     L = zoo.hexagon()
     assert join_irreducible_ids(L) == [1, 2, 3, 4]
     assert length(L) == 3  # strictly below |J|: not join extremal
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_weak_order_counts_match_the_literature(k):
+    """The weak order of S_k has k! elements and the length k(k-1)/2 of
+    the longest permutation's inversion set.  Its join irreducibles are
+    the permutations with exactly one descent, 2^k - k - 1 of them (the
+    Eulerian number A(k, 1)), and it is self-dual, so it has as many meet
+    irreducibles (Bjorner and Brenti, Combinatorics of Coxeter Groups,
+    2005, ch. 3).  It is semidistributive and, for k >= 3, not
+    distributive."""
+    L = zoo.weak_order(k)
+    assert L.n == [1, 1, 2, 6, 24, 120][k]
+    assert length(L) == k * (k - 1) // 2
+    assert len(join_irreducibles(L)) == len(meet_irreducibles(L)) == 2**k - k - 1
+    assert is_semidistributive(L)[0] and not is_distributive(L)[0]
 
 
 def test_ideal_lattice_irreducibles_are_principal_ideals():
