@@ -14,15 +14,16 @@ parent's automorphisms, which the parent's own canonical search found:
 classes.  Everything about a child but its canonical labeling comes
 from its parent.  A candidate is searched on cover lists and levels
 edited from the parent's, with no poset built.  Only a kept class is
-built, from the upper covers its search ran on and its parent's order
-and join and meet tables, and a level's kept classes are built a block
-at a time: their parents' tables are stacked, the new element's row and
-column added to all of them at once, and one fancy-index pass writes
-them into canonical slots.  Each class's tables are read-only views of
-its block's arrays.  So past one element the generator neither
-reduces, decodes a form nor calls try_lattice.  The naive oracle
-filters all upper-triangular cover sets and exists only to cross-check
-the generator at small sizes.
+built, from the upper covers its search ran on, the meet row the scan
+found for the new element, and its parent's order and join and meet
+tables.  A level's kept classes are built a block at a time: their
+parents' tables are stacked, the new element's row and column added to
+all of them at once, and one fancy-index pass writes them into canonical
+slots.  Each class's tables are views of its block's arrays, and as for
+every lattice, numpy refuses to make them writable.  So past one
+element the generator neither reduces, decodes a form nor calls
+try_lattice.  The naive oracle filters all upper-triangular cover sets
+and exists only to cross-check the generator at small sizes.
 """
 
 import json
@@ -38,7 +39,6 @@ from .classify import ClassificationRecord, classify
 from .errors import (
     AtlasParseError,
     BoundExceededError,
-    InvariantViolation,
     NotALatticeError,
     NotReducedError,
 )
@@ -67,34 +67,37 @@ _KEEP_EXAMPLES = 5  # counterexamples kept per arrow of the grid
 
 
 def _down_set_extensions(L):
-    """Bitmasks, in increasing order, of the down-sets D of L minus its
-    top over which a new element right under the top keeps L a lattice
-    and is a coatom with a down-set as large as any other coatom's: D cut
-    below any element but the top has a single maximal member, and
-    |D| + 1 is at least the size of every coatom's down-set in L.
+    """(mask, meets) for each down-set D of L minus its top, in increasing
+    order of its bitmask, over which a new element e = L.n right under
+    the top keeps L a lattice and is a coatom with a down-set as large as
+    any other coatom's: D cut below each x but the top is the down-set of
+    one element, e ∧ x, and |D| + 1 is at least the size of every
+    coatom's down-set in L.  meets is bytes, e ∧ x at x, with e ∧ top = e.
 
     A mask has bit x for element x, as L.down_sets does, and never the
     top's bit.  The down-sets are walked along L.topological_order: each
     element joins every down-set found so far that holds the rest of its
     own down-set, so each down-set comes once and no other set is
-    visited.  Only those large enough get the cut test.  A down-set
-    passes it exactly when its cut below every element but the top is a
-    principal down-set: the cut below a member x is then the down-set of
-    x, and a down-set has a single maximal member exactly when it is the
-    down-set of that member.
+    visited.  Only those large enough get the cut test, one lookup per x
+    in an index from each down-set of an element but the top to that
+    element: a down-set has a single maximal member exactly when it is
+    the down-set of that member, which is then the meet.
     """
-    top, down = L.top, L.down_sets
+    e, top, down = L.n, L.top, L.down_sets
     need = max((down[c].bit_count() - 1 for c in L.coatoms), default=0)
-    principal = down[:top] + down[top + 1:]
-    principal_set = set(principal)
+    element = {d: x for x, d in enumerate(down) if x != top}
     masks = [0]
     for x in L.topological_order[:-1]:  # the top comes last
         below = down[x] ^ 1 << x
         masks += [m | 1 << x for m in masks if m & below == below]
-    return sorted(
-        m for m in masks
-        if m.bit_count() >= need and all(m & d in principal_set for d in principal)
-    )
+    extensions = []
+    for m in sorted(masks):
+        if m.bit_count() >= need:
+            meets = [element.get(m & d) for d in down]
+            meets[top] = e
+            if None not in meets:
+                extensions.append((m, bytes(meets)))
+    return extensions
 
 
 def _candidate_covers(L, mask):
@@ -133,22 +136,20 @@ def _candidate_covers(L, mask):
 def _class_block(n, block):
     """The classes of a block of candidates with n elements, as
     canonically labeled Lattices read off their parents.  Each candidate
-    is (L, mask, perm, automorphisms, form, ups): the parent L, the
-    down-set mask, the candidate's canonical search result and its upper
-    covers as _candidate_covers edited them.
+    is (L, mask, meets, perm, automorphisms, form, ups): the parent L, the
+    down-set mask with its meet row from _down_set_extensions, the
+    candidate's canonical search result and its upper covers as
+    _candidate_covers edited them.
 
-    The k parents' tables are gathered into (k, n, n) arrays and each
-    class's tables are views of them, read-only.  leq is L's, with the
-    column of e = n - 1 true on mask and on e, and its row true on e and
-    the top.  On L's elements the meet is L's, and the join is L's but
-    that two members of mask whose join in L is the top now join to e.
-    e joins a member of mask to e and anything else to the top.  The
-    meet of e and an element x below the top is the member of mask cut
-    below x with the largest down-set; the scan made that cut principal,
-    the down-set of this member, and InvariantViolation is raised if it
-    is not.  e meets the top to e, and e is the bottom when L has one
-    element, where mask is empty.  One fancy-index pass moves every
-    class into canonical slots.
+    The k parents' tables are gathered into (k, n, n) arrays.  leq is
+    L's, with the column of e = n - 1 true on mask and on e, and its row
+    true on e and the top.  On L's elements the meet is L's, and the join
+    is L's but that two members of mask whose join in L is the top now
+    join to e.  e joins a member of mask to e and anything else to the
+    top, and meets are its meet row.  One fancy-index pass moves every
+    class into canonical slots, and each class's tables are views of the
+    block's, made read-only by its constructor.  The bottom is e ∧ L's
+    bottom: e itself when L has one element, where mask is empty.
     """
     k, e = len(block), n - 1
     each = np.arange(k)
@@ -168,40 +169,23 @@ def _class_block(n, block):
     old = join[:, :e, :e]
     old[(old == tops[:, None, None]) & inside[:, :, None] & inside[:, None, :]] = e
     join[:, e, :e] = join[:, :e, e] = np.where(inside, e, tops[:, None])
-
-    # cut[c, y, x]: y is in mask and below x; the meet of e and x is the
-    # y in the cut with the largest down-set, if its down-set is the cut.
-    below = leq[:, :e, :e]
-    cut = inside[:, :, None] & below
-    height = below.sum(axis=1)  # height[c, y] = |down-set of y|
-    meet_e = np.where(cut, height[:, :, None], -1).argmax(axis=1)
-    cut_of = np.take_along_axis(below, meet_e[:, None, :], axis=2)
-    principal = (cut_of == cut).all(axis=1)
-    principal[each, tops] = True
-    if not principal.all():
-        c, x = np.argwhere(~principal)[0].tolist()
-        mask = block[c][1]
-        raise InvariantViolation(f"down-set {mask:#b} cut below {x} is not principal")
     meet[:, :e, :e] = [L.meet for L in parents]
-    meet[:, e, :e] = meet[:, :e, e] = meet_e
-    meet[each, e, tops] = meet[each, tops, e] = e
+    rows = np.frombuffer(b"".join(c[2] for c in block), dtype=np.uint8)
+    meet[:, e, :e] = meet[:, :e, e] = rows.reshape(k, e)
     join[:, e, e] = meet[:, e, e] = e
 
     # Element v of class c goes to slot perm[v]: slot s holds inverse[c, s].
-    ids = np.array([c[2] for c in block], dtype=np.int32)
+    ids = np.array([c[3] for c in block], dtype=np.int32)
     inverse = np.argsort(ids, axis=1)
     index = each[:, None, None], inverse[:, :, None], inverse[:, None, :]
     leq = leq[index]
     join = ids[index[0], join[index]]
     meet = ids[index[0], meet[index]]
-    for table in (leq, join, meet):
-        table.flags.writeable = False
     classes = []
-    for c, (L, mask, perm, automorphisms, form, ups) in enumerate(block):
+    for c, (L, _, meets, perm, automorphisms, form, ups) in enumerate(block):
         covers = [(perm[a], perm[b]) for a, bs in enumerate(ups) for b in bs]
         q = FinitePoset(n, covers, leq[c])
-        bot = perm[L.bot if mask else e]
-        M = Lattice(q, join[c], meet[c], bot, perm[L.top])
+        M = Lattice(q, join[c], meet[c], perm[meets[L.bot]], perm[L.top])
         classes.append(_seed_canonical(M, form, automorphisms))
     return classes
 
@@ -235,12 +219,12 @@ def _lattices(n):
     _down_set_extensions; the one-element lattice is the only candidate
     for n = 1.  Its one canonical search, on the cover lists and levels
     _candidate_covers edits from L's, rejects isomorphs, and a level
-    keeps, per form, only the first candidate's parent, D, search result
-    and upper covers.  In the order of their forms, the classes are then
-    built by _class_block from their parents' tables, in blocks of as
-    many classes as fit lattice._BLOCK table cells, and each is seeded
-    with its relabeling, form and automorphisms so that it is never
-    searched again.
+    keeps, per form, only the first candidate's parent, D with the new
+    element's meet row, search result and upper covers.  In the order of
+    their forms, the classes are then built by _class_block from their
+    parents' tables, in blocks of as many classes as fit lattice._BLOCK
+    table cells, and each is seeded with its relabeling, form and
+    automorphisms so that it is never searched again.
 
     A mask that some product of L's automorphisms maps to a smaller one
     is not searched, and this changes no class.  Masks are tried in
@@ -277,13 +261,13 @@ def _lattices(n):
         return (L,)
     forms = {}
     for L in _lattices(n - 1):
-        for mask in _down_set_extensions(L):
+        for mask, meets in _down_set_extensions(L):
             if not _least_in_orbit(mask, L._canonical[2]):
                 continue
             ups, downs, levels = _candidate_covers(L, mask)
             perm, form, automorphisms = _canonical_search(n, ups, downs, levels)
             if form not in forms:
-                forms[form] = (L, mask, perm, automorphisms, form, ups)
+                forms[form] = (L, mask, meets, perm, automorphisms, form, ups)
     order = sorted(forms)
     size = max(1, lattice._BLOCK // (n * n))
     classes = []

@@ -34,6 +34,7 @@ from .poset import (
     _check_element,
     _check_size,
     _minimal_of,
+    _read_only,
 )
 
 # Cells per block of the whole-table kernels here and in properties; bounds
@@ -52,14 +53,10 @@ class Lattice(FinitePoset):
     __slots__ = ("join", "meet", "bot", "top")
 
     def __init__(self, poset, join, meet, bot, top):
-        join = np.asarray(join)
-        meet = np.asarray(meet)
-        join.flags.writeable = False
-        meet.flags.writeable = False
         super().__init__(poset.n, poset.covers, poset.leq)
         vars(self).update(vars(poset))
-        self.join = join
-        self.meet = meet
+        self.join = _read_only(join)
+        self.meet = _read_only(meet)
         self.bot = bot
         self.top = top
 

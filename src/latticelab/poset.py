@@ -1,8 +1,9 @@
 """Finite posets on elements 0..n-1 with an explicit cover relation.
 
 The order is stored twice: as the transitively reduced cover set (the Hasse
-diagram) and as a dense boolean reachability matrix ``leq``.  Both are
-immutable after construction; instances are safe to share between threads.
+diagram) and as a dense boolean reachability matrix ``leq``.  Neither is
+changed after construction, and numpy refuses to make ``leq`` writable;
+instances are safe to share between threads.
 They are built in one sweep: the cycle search yields every up-set as an int
 bitset, ``leq`` is unpacked from them, and a pair (a, b) is a cover exactly
 when b is not strictly above another successor of a.
@@ -104,11 +105,9 @@ class FinitePoset:
     __slots__ = ("n", "covers", "leq", "__dict__")
 
     def __init__(self, n, covers, leq):
-        leq = np.asarray(leq, dtype=bool)
-        leq.flags.writeable = False
         self.n = n
         self.covers = tuple(sorted(covers))
-        self.leq = leq
+        self.leq = _read_only(leq, bool)
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, covers={list(self.covers)})"
@@ -177,6 +176,19 @@ class FinitePoset:
         covers = [(perm[a], perm[b]) for a, b in self.covers]
         inverse = np.argsort(perm)
         return FinitePoset(self.n, covers, self.leq[np.ix_(inverse, inverse)])
+
+
+def _read_only(table, dtype=None):
+    """A view of table, as an array of dtype, that numpy will not let be
+    made writable: the array that owns its memory is made read-only.
+    That owner is still reachable through the view's .base, and numpy
+    lets the owner itself be made writable again."""
+    table = np.asarray(table, dtype=dtype)
+    owner = table
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    owner.flags.writeable = False
+    return table.view()
 
 
 def _minimal_of(leq, members):

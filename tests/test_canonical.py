@@ -16,8 +16,7 @@ from latticelab.atlas import (
     _lattices,
     enumerate_lattices,
 )
-from latticelab.errors import InvariantViolation
-from latticelab.lattice import ideal_lattice, try_lattice
+from latticelab.lattice import dual, ideal_lattice, interval, try_lattice
 from latticelab.poset import (
     FinitePoset,
     _canonical_search,
@@ -26,6 +25,7 @@ from latticelab.poset import (
     canonicalize,
     is_isomorphic,
     poset_from_canonical,
+    poset_from_covers,
     transitive_reduce,
 )
 
@@ -298,31 +298,26 @@ def candidates(n):
     _class_block takes it."""
     out = []
     for L in _lattices(n - 1):
-        for mask in _down_set_extensions(L):
+        for mask, meets in _down_set_extensions(L):
             ups, downs, levels = _candidate_covers(L, mask)
             perm, form, automorphisms = _canonical_search(n, ups, downs, levels)
-            out.append((L, mask, perm, automorphisms, form, ups))
+            out.append((L, mask, meets, perm, automorphisms, form, ups))
     return out
 
 
 def test_candidates_equal_their_transitive_reductions():
     """Each candidate with at most 8 elements, built from its parent by
-    _class_block with no reduction, in one block per level, is the poset
-    transitive_reduce makes of the parent's covers, the new element over
-    the mask and under the top, relabeled by the candidate's canonical
-    relabeling."""
+    _class_block with no reduction, in one block per level, is the
+    lattice try_lattice makes of the parent's covers with the new element
+    over the mask and under the top, relabeled by the candidate's
+    canonical relabeling: the same covers, order, join and meet, so the
+    scan's meet row is checked on every candidate, kept or not."""
     for n in range(2, 9):
         block = candidates(n)
-        for (L, mask, perm, *_), got in zip(block, _class_block(n, block)):
+        for (L, mask, _, perm, *_), got in zip(block, _class_block(n, block)):
             below = [(x, n - 1) for x in range(n - 1) if mask >> x & 1]
             want = transitive_reduce(n, [*L.covers, *below, (n - 1, L.top)])
-            inverse = np.empty(n, dtype=np.intp)
-            inverse[list(perm)] = np.arange(n)
-            relabeled = {(perm[a], perm[b]) for a, b in want.covers}
-            assert set(got.covers) == relabeled, (L, mask)
-            assert got.leq.dtype == bool
-            relabeled_leq = want.leq[np.ix_(inverse, inverse)]
-            assert np.array_equal(got.leq, relabeled_leq), (L, mask)
+            assert_same_class(got, try_lattice(want).relabel(perm))
 
 
 def test_candidate_covers_equal_the_candidate_posets():
@@ -332,7 +327,7 @@ def test_candidate_covers_equal_the_candidate_posets():
     top, for every candidate with at most 8 elements."""
     for n in range(2, 9):
         for L in _lattices(n - 1):
-            for mask in _down_set_extensions(L):
+            for mask, _ in _down_set_extensions(L):
                 below = [(x, n - 1) for x in range(n - 1) if mask >> x & 1]
                 p = transitive_reduce(n, [*L.covers, *below, (n - 1, L.top)])
                 ups, downs, levels = _candidate_covers(L, mask)
@@ -389,20 +384,39 @@ def test_blocks_of_any_size_build_the_same_classes(monkeypatch, size):
 
 
 def test_enumerated_tables_cannot_be_made_writable():
-    "The tables are views of read-only blocks shared by the whole level."
-    L = enumerate_lattices(9)[500]
-    for table in (L.leq, L.join, L.meet):
+    """numpy refuses to make the tables of any lattice writable: those of
+    an enumerated class, views of a block shared by the whole level, the
+    one-element class and a lattice from each other builder, and the
+    order of a poset."""
+    H = zoo.hexagon()
+    lattices = [
+        enumerate_lattices(9)[500],
+        enumerate_lattices(1)[0],
+        H,
+        ideal_lattice(zoo.antichain(3))[0],
+        dual(H),
+        interval(H, H.bot, H.top).lattice,
+        H.relabel(list(range(H.n))[::-1]),
+    ]
+    tables = [poset_from_covers(3, [(0, 1), (1, 2)]).leq]
+    tables += [t for L in lattices for t in (L.leq, L.join, L.meet)]
+    for table in tables:
         with pytest.raises(ValueError):
             table.flags.writeable = True
 
 
-def test_a_child_over_a_cut_that_is_not_principal_is_an_invariant_violation():
-    "Over {a, b} in B2, b cut below a is {a}, no element's down-set."
-    L = next(L for L in _lattices(4) if len(L.coatoms) == 2)
-    mask = sum(1 << c for c in L.coatoms)
-    ups = _candidate_covers(L, mask)[0]
-    with pytest.raises(InvariantViolation):
-        _class_block(5, [(L, mask, tuple(range(5)), (), b"", ups)])
+def test_a_large_down_set_whose_cut_is_not_principal_is_no_extension():
+    """In B3, {0̂, a, b} is a down-set as large as the coatoms need, but
+    its cut below a ∨ b is itself, no element's down-set, so the new
+    element would have no meet with a ∨ b and the scan skips it."""
+    L = zoo.boolean(3)
+    mask = 0b111
+    down = L.down_sets
+    assert all(down[x] & mask == down[x] for x in range(3))
+    assert mask.bit_count() >= max(down[c].bit_count() - 1 for c in L.coatoms)
+    ab = L.join[1, 2]
+    assert down[ab] & mask == mask and mask not in down
+    assert mask not in [m for m, _ in _down_set_extensions(L)]
 
 
 def reference_extension_masks(L):
@@ -460,7 +474,7 @@ def test_down_set_extensions_match_the_reference():
             expected = [
                 mask for mask, size in reference_extension_masks(L) if size >= need
             ]
-            assert _down_set_extensions(L) == expected
+            assert [m for m, _ in _down_set_extensions(L)] == expected
 
 
 def m_k(k):
@@ -476,7 +490,7 @@ def test_orbit_pruning_keeps_the_classes_of_the_unpruned_loop():
     for n in range(2, 9):
         forms = {}
         for candidate in candidates(n):
-            forms.setdefault(candidate[4], candidate)
+            forms.setdefault(candidate[5], candidate)
         want = _class_block(n, [forms[form] for form in sorted(forms)])
         got = _lattices(n)
         assert len(got) == len(want)
