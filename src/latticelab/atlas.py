@@ -44,8 +44,8 @@ from .errors import (
 )
 from .lattice import Lattice, try_lattice
 from .poset import (
-    FinitePoset,
     _canonical_search,
+    _read_only,
     _seed_canonical,
     canonical_form,
     canonicalize,
@@ -147,9 +147,13 @@ def _class_block(n, block):
     is L's but that two members of mask whose join in L is the top now
     join to e.  e joins a member of mask to e and anything else to the
     top, and meets are its meet row.  One fancy-index pass moves every
-    class into canonical slots, and each class's tables are views of the
-    block's, made read-only by its constructor.  The bottom is e ∧ L's
-    bottom: e itself when L has one element, where mask is empty.
+    class into canonical slots, and the three arrays it gives are made
+    read-only once; each class's tables are views of them, which the
+    Lattice constructor takes as they are, with no poset built.  A
+    class's covers are its search's upper covers in canonical slots,
+    sorted once as codes a * n + b and read as the shared tuples of
+    _pairs(n).  The bottom is e ∧ L's bottom: e itself when L has one
+    element, where mask is empty.
     """
     k, e = len(block), n - 1
     each = np.arange(k)
@@ -178,16 +182,26 @@ def _class_block(n, block):
     ids = np.array([c[3] for c in block], dtype=np.int32)
     inverse = np.argsort(ids, axis=1)
     index = each[:, None, None], inverse[:, :, None], inverse[:, None, :]
-    leq = leq[index]
-    join = ids[index[0], join[index]]
-    meet = ids[index[0], meet[index]]
+    leq = _read_only(leq[index])
+    join = _read_only(ids[index[0], join[index]])
+    meet = _read_only(ids[index[0], meet[index]])
+    pairs = _pairs(n)
     classes = []
     for c, (L, _, meets, perm, automorphisms, form, ups) in enumerate(block):
-        covers = [(perm[a], perm[b]) for a, bs in enumerate(ups) for b in bs]
-        q = FinitePoset(n, covers, leq[c])
-        M = Lattice(q, join[c], meet[c], perm[meets[L.bot]], perm[L.top])
+        codes = sorted([perm[a] * n + perm[b] for a, bs in enumerate(ups) for b in bs])
+        covers = tuple(map(pairs.__getitem__, codes))
+        bot, top = perm[meets[L.bot]], perm[L.top]
+        M = Lattice(n, covers, leq[c], join[c], meet[c], bot, top)
         classes.append(_seed_canonical(M, form, automorphisms))
     return classes
+
+
+@lru_cache(maxsize=None)
+def _pairs(n):
+    """The tuple (a, b) at a * n + b, one per pair of ids below n: the
+    covers of every class with n elements share them, and their codes
+    sort as the pairs do."""
+    return tuple((a, b) for a in range(n) for b in range(n))
 
 
 def _least_in_orbit(mask, automorphisms):
@@ -261,8 +275,9 @@ def _lattices(n):
         return (L,)
     forms = {}
     for L in _lattices(n - 1):
+        symmetries = L._canonical[2]
         for mask, meets in _down_set_extensions(L):
-            if not _least_in_orbit(mask, L._canonical[2]):
+            if symmetries and not _least_in_orbit(mask, symmetries):
                 continue
             ups, downs, levels = _candidate_covers(L, mask)
             perm, form, automorphisms = _canonical_search(n, ups, downs, levels)

@@ -46,17 +46,20 @@ class Lattice(FinitePoset):
     """A FinitePoset plus join/meet tables and located bottom/top.
 
     Build instances through try_lattice, ideal_lattice, dual, interval,
-    relabel or the enumerator (atlas.enumerate_lattices); the constructor
-    trusts its tables and takes over the poset's memos.
+    relabel or the enumerator (atlas.enumerate_lattices).  The constructor
+    takes its parts as they are and checks nothing: covers a sorted tuple,
+    as FinitePoset keeps them, and leq, join and meet tables that numpy
+    will not let be made writable (poset._read_only).
     """
 
     __slots__ = ("join", "meet", "bot", "top")
 
-    def __init__(self, poset, join, meet, bot, top):
-        super().__init__(poset.n, poset.covers, poset.leq)
-        vars(self).update(vars(poset))
-        self.join = _read_only(join)
-        self.meet = _read_only(meet)
+    def __init__(self, n, covers, leq, join, meet, bot, top):
+        self.n = n
+        self.covers = covers
+        self.leq = leq
+        self.join = join
+        self.meet = meet
         self.bot = bot
         self.top = top
 
@@ -82,13 +85,22 @@ class Lattice(FinitePoset):
         ids = np.asarray(perm, dtype=self.join.dtype)
         inverse = np.argsort(ids)
         square = np.ix_(inverse, inverse)
-        return Lattice(
+        return _on_poset(
             poset,
             ids[self.join[square]],
             ids[self.meet[square]],
             perm[self.bot],
             perm[self.top],
         )
+
+
+def _on_poset(p, join, meet, bot, top):
+    """The lattice on the validated poset p, with its sorted covers,
+    read-only leq and memos as they are, and with the join and meet
+    tables made read-only."""
+    L = Lattice(p.n, p.covers, p.leq, _read_only(join), _read_only(meet), bot, top)
+    vars(L).update(vars(p))
+    return L
 
 
 def _up_words(leq, order):
@@ -190,7 +202,7 @@ def try_lattice(p):
         (a, b), error, rel = min(failures, key=lambda f: f[0])
         bounds = np.flatnonzero(rel[a] & rel[b]).tolist()
         raise error(a, b, _minimal_of(rel, bounds))
-    return Lattice(p, join, meet, int(bots[0]), int(tops[0]))
+    return _on_poset(p, join, meet, int(bots[0]), int(tops[0]))
 
 
 def dual(L):
@@ -198,7 +210,7 @@ def dual(L):
     n = L.n
     covers = [(b, a) for a, b in L.covers]
     leq = np.ascontiguousarray(L.leq.T)
-    return Lattice(FinitePoset(n, covers, leq), L.meet, L.join, L.top, L.bot)
+    return _on_poset(FinitePoset(n, covers, leq), L.meet, L.join, L.top, L.bot)
 
 
 class Interval:
@@ -231,7 +243,7 @@ def interval(L, a, b):
         (ids[x], ids[y]) for x, y in L.covers if ids[x] >= 0 and ids[y] >= 0
     ]
     square = np.ix_(members, members)
-    sub = Lattice(
+    sub = _on_poset(
         FinitePoset(len(members), covers, L.leq[square]),
         local[L.join[square]],
         local[L.meet[square]],
@@ -297,6 +309,6 @@ def ideal_lattice(p, cap=MAX_ELEMENTS):
         meet[j] = np.where(member[:, x], step[meet[k], x], meet[k])
     leq = meet == ids[:, None]  # i <= j exactly when i ^ j = i
     covers = [(index[lo], index[hi]) for lo, hi in steps]
-    lattice = Lattice(FinitePoset(size, covers, leq), join, meet, 0, size - 1)
+    lattice = _on_poset(FinitePoset(size, covers, leq), join, meet, 0, size - 1)
     ideals = tuple(frozenset(np.flatnonzero(row).tolist()) for row in member)
     return lattice, ideals

@@ -9,7 +9,7 @@ bitset, ``leq`` is unpacked from them, and a pair (a, b) is a cover exactly
 when b is not strictly above another successor of a.
 """
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import isqrt
 from operator import index
 
@@ -266,26 +266,53 @@ def transitive_reduce(n, pairs):
 
 
 def _refined_colors(ups, downs, levels):
-    """Colour classes as ranks.  A signature starts with the colour, so
-    an element alone in its class keeps its rank whatever its neighbours,
-    and a discrete colouring is final."""
+    """Colour classes as ranks.  The first colours rank the keys
+    (lower cover count, upper cover count, level), packed in one integer
+    each; then each round splits every class of two or more elements by
+    its members' signatures, the sorted colours of their lower and then
+    upper covers, until a round splits none.
+
+    A round ranks signatures within each old class, and the parts of a
+    class take the ranks after those of the classes before it: this is
+    the rank of (colour, signature) among all elements, so an element
+    alone in its class keeps its place and a discrete colouring is
+    final.  The keys pack as down << 26 | up << 13 | level, which sorts
+    as the tuples do, since no count or level exceeds MAX_ELEMENTS < 2^13.
+    """
     n = len(levels)
-    colors = _ranks(list(zip(map(len, downs), map(len, ups), levels)))
-    while max(colors, default=0) + 1 < n:
-        size = [0] * n
-        for c in colors:
-            size[c] += 1
+    colors = _ranks([
+        len(down) << 26 | len(up) << 13 | level
+        for down, up, level in zip(downs, ups, levels)
+    ])
+    cells = [[] for _ in range(max(colors, default=-1) + 1)]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    while len(cells) < n:
         color = colors.__getitem__
-        signature = [
-            (c, tuple(sorted(map(color, down))), tuple(sorted(map(color, up))))
-            if size[c] > 1
-            else (c,)
-            for c, down, up in zip(colors, downs, ups)
-        ]
-        new = _ranks(signature)
-        if new == colors:
+        parts = []
+        for cell in cells:
+            if len(cell) > 1:
+                signature = [
+                    (
+                        tuple(sorted(map(color, downs[v]))),
+                        tuple(sorted(map(color, ups[v]))),
+                    )
+                    for v in cell
+                ]
+                distinct = sorted(set(signature))
+                if len(distinct) > 1:
+                    rank = {key: i for i, key in enumerate(distinct, len(parts))}
+                    parts += [[] for _ in distinct]
+                    for v, key in zip(cell, signature):
+                        parts[rank[key]].append(v)
+                    continue
+            parts.append(cell)
+        if len(parts) == len(cells):
             return colors
-        colors = new
+        cells = parts
+        for c, cell in enumerate(cells):
+            for v in cell:
+                colors[v] = c
     return colors
 
 
@@ -310,15 +337,23 @@ def _canonical_search(n, ups, downs, levels):
     The encoding lists, slot by slot, the chunk of slot s: whether the
     element on slot t is covered by it, for t < s, then whether it is
     covered by the element on slot t.  Slots are filled colour class by
-    colour class with candidates in increasing id, depth first on an
-    explicit stack; a subtree is cut once its chunks exceed the best
-    leaf's, and the first least leaf wins.
+    colour class with candidates in increasing id, depth first; a
+    subtree is cut once its chunks exceed the best leaf's, and the first
+    least leaf wins.
+
+    Only a node with two or more candidates gets a frame on the explicit
+    stack.  A node with one candidate (a colour class of one, the last
+    member of a class, or the one survivor of the least-chunk rule) is
+    filled in place, and going back takes every slot from the deepest
+    frame's on off the path in one pass, clearing their bits from every
+    element's chunk at once.  The last slot always has one candidate,
+    so a leaf is never a frame.
 
     Four rules skip only subtrees that cannot hold the first least
     leaf, so they change no (perm, form):
     - A refined colouring that is already discrete leaves one candidate
       per slot, so its path is the one leaf and the search packs it
-      with no stack walk and no automorphism.
+      with no walk and no automorphism.
     - While the path is strictly below the best leaf, or there is none
       yet, a node keeps only its candidates with the least chunk: every
       path extends to a leaf, and leaves compare chunk by chunk.
@@ -327,12 +362,17 @@ def _canonical_search(n, ups, downs, levels):
       paths agree, up to slot k where they first differ, so the subtree
       of the leaf's candidate at slot k is g's image of the best leaf's
       one, searched before it: the search goes back to slot k at once.
+      Both candidates were tried at that node, so it is a frame.
     - A candidate is skipped if an automorphism found so far fixes the
       path and maps it to a candidate already tried at the node: its
       subtree is the image of that one's, with the same chunks.
     The last two are the orbit pruning of nauty (McKay and Piperno,
     J. Symbolic Comput. 60, 2014), with no refinement after a slot is
-    filled, since that would reorder the slots.
+    filled, since that would reorder the slots.  An automorphism that
+    fixes the path maps a node's candidates onto themselves, so it fixes
+    a node's one candidate: the automorphisms that fix the path change
+    only at frames, and only frames keep them.  Each found one is added
+    to the root's list and to those of the frames at slots up to k.
 
     A chunk is kept as one integer per element, updated along the cover
     edges as slots fill: bit n-1-t of ``low[v]`` says slot t is covered by
@@ -366,57 +406,78 @@ def _canonical_search(n, ups, downs, levels):
     chunks = []
     best = best_path = None
     below = -1  # no best leaf yet: everything is below it
-    todo = [iter(slot_class[0])]  # an empty path: every chunk is 0
-    tried = [0]  # per node, the candidates taken there, bit v for v
-    fixing = [[]]  # per node, the automorphisms found that fix the path
-    found = fixing[0]  # the root's: every automorphism found
-    back = None  # the slot to go back to after an automorphism
-    while todo:
-        s = len(todo) - 1
-        if below >= s:
-            below = n  # path[:s] ties the best leaf again
-        fix = fixing[s]
-        for v in todo[-1]:
-            if fix and any(tried[s] >> g[v] & 1 for g in fix):
-                continue
-            tried[s] |= 1 << v
+    found = []  # every automorphism found
+    # Per node with two or more candidates: [slot, candidates, the
+    # candidates taken there as bit v for v, the automorphisms found
+    # that fix the path up to the slot].
+    frames = []
+    nxt = slot_class[0]  # the candidates at slot len(path)
+    while True:
+        s = len(path)
+        v = None
+        if len(nxt) > 1:
+            fix = []  # those of the deepest frame that fix its candidate
+            if frames and frames[-1][3]:
+                t, _, _, above = frames[-1]
+                fix = [g for g in above if g[path[t]] == path[t]]
+            frames.append([s, iter(nxt), 0, fix])
+        else:
+            v = nxt[0]
             chunk = low[v] << n | high[v]
             if below >= s:
                 if chunk > best[s]:
-                    continue
-                if chunk < best[s]:
+                    v = None
+                elif chunk < best[s]:
                     below = s
-            if s + 1 < n:
+            if v is not None and s + 1 == n:  # a leaf
+                if below < n:  # strictly below the best leaf
+                    best, best_path, below = chunks + [chunk], path + [v], n
+                else:
+                    g = [0] * n
+                    for w, x in zip(best_path, path + [v]):
+                        g[w] = x
+                    back = next(k for k, w in enumerate(path) if w != best_path[k])
+                    found.append(g)
+                    for frame in frames:
+                        if frame[0] > back:
+                            break
+                        frame[3].append(g)
+                    while frames[-1][0] > back:
+                        frames.pop()
+                v = None
+        if v is None:
+            # Back to the deepest frame, for its next candidate.
+            while frames:
+                frame = frames[-1]
+                s, todo, tried, fix = frame
+                if len(path) > s:
+                    # Slot t is bit n-1-t: keep the bits of the slots before s.
+                    keep = -1 << (n - s)
+                    low = [x & keep for x in low]
+                    high = [x & keep for x in high]
+                    for w in path[s:]:
+                        used[w] = False
+                    del path[s:], chunks[s:]
+                if below >= s:
+                    below = n  # path[:s] ties the best leaf again
+                for v in todo:
+                    if fix and any(tried >> g[v] & 1 for g in fix):
+                        continue
+                    tried |= 1 << v
+                    chunk = low[v] << n | high[v]
+                    if below >= s:
+                        if chunk > best[s]:
+                            continue
+                        if chunk < best[s]:
+                            below = s
+                    frame[2] = tried
+                    break
+                else:
+                    frames.pop()
+                    continue
                 break
-            # A leaf: the last slot's class has one candidate left.
-            if below < n:  # strictly below the best leaf
-                best, best_path, below = chunks + [chunk], path + [v], n
-                continue
-            g = [0] * n
-            for w, x in zip(best_path, path + [v]):
-                g[w] = x
-            back = next(k for k, w in enumerate(path) if w != best_path[k])
-            for f in fixing[: back + 1]:
-                f.append(g)
-        else:
-            # Take filled slots off the path, back to the node before
-            # this one, or to slot `back` after an automorphism.
-            keep = s if back is None else back + 1
-            back = None
-            while len(todo) > keep:
-                todo.pop()
-                tried.pop()
-                fixing.pop()
-                if path:
-                    v = path.pop()
-                    chunks.pop()
-                    used[v] = False
-                    clear = ~(1 << (n - len(todo)))
-                    for w in ups[v]:
-                        low[w] &= clear
-                    for w in downs[v]:
-                        high[w] &= clear
-            continue
+            else:
+                return _packed(n, best_path, best, found)
         bit = 1 << (n - 1 - s)
         for w in ups[v]:
             low[w] |= bit
@@ -432,11 +493,6 @@ def _canonical_search(n, ups, downs, levels):
                 keys = [low[w] << n | high[w] for w in nxt]
                 least = min(keys)
                 nxt = [w for w, key in zip(nxt, keys) if key == least]
-        todo.append(iter(nxt))
-        tried.append(0)
-        fixing.append([g for g in fix if g[v] == v] if fix else [])
-
-    return _packed(n, best_path, best, found)
 
 
 def _packed(n, best_path, best, found):
@@ -489,8 +545,14 @@ def _seed_canonical(q, form, automorphisms):
     computed: a form read from a file need not be canonical, so
     entry_lattice does not seed.
     """
-    q.__dict__["_canonical"] = (tuple(range(q.n)), form, automorphisms)
+    q.__dict__["_canonical"] = (_identity(q.n), form, automorphisms)
     return q
+
+
+@lru_cache(maxsize=None)
+def _identity(n):
+    "tuple(range(n)), one tuple per n, the relabeling _seed_canonical seeds."
+    return tuple(range(n))
 
 
 def poset_from_canonical(form):

@@ -55,8 +55,9 @@ class Violation:
 
 
 def _violation(kind, a, bad):
-    "The Violation at a and the first (b, c) where the bool matrix bad is set."
-    b, c = map(int, np.argwhere(bad)[0])
+    """The Violation at a and the first (b, c), in row-major order, where
+    the bool matrix bad is set; bad has some cell set."""
+    b, c = divmod(int(bad.argmax()), bad.shape[1])
     return Violation(kind, (a, b, c))
 
 

@@ -30,6 +30,7 @@ from latticelab.errors import (
     BoundExceededError,
     InvariantViolation,
 )
+from latticelab.lattice import dual
 from latticelab.poset import canonical_form
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
@@ -88,6 +89,22 @@ def test_enumeration_is_deterministic():
     second = [canonical_form(L.poset) for L in enumerate_lattices(6)]
     assert first == second
     assert first == sorted(first)
+
+
+# Self-dual classes with n = 1..9 elements, as this generator counts them.
+SELF_DUAL_COUNTS = (1, 1, 1, 2, 3, 7, 13, 36, 76)
+
+
+def test_each_level_holds_the_dual_of_each_class():
+    """The generator's pruning rules are stated on the coatom side; the
+    dual of a class turns its atoms into coatoms, so a level that lost a
+    class, or kept a wrong one, would miss the dual of some class.  The
+    dual is searched afresh, not read from the class's seeded memo."""
+    for n, self_dual in enumerate(SELF_DUAL_COUNTS, start=1):
+        forms = [canonical_form(L) for L in enumerate_lattices(n)]
+        duals = [canonical_form(dual(L)) for L in enumerate_lattices(n)]
+        assert set(duals) == set(forms), n
+        assert sum(map(bytes.__eq__, forms, duals)) == self_dual, n
 
 
 def test_enumerated_lattices_are_canonical_and_distinct():

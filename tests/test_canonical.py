@@ -1,5 +1,6 @@
-"""Canonical labeling: the stack-based search against the recursive one it
-replaced, byte identity of the forms, and the once-per-poset memo."""
+"""Canonical labeling: the walk against the recursive search and the
+stack walk it replaced, byte identity of the forms and tables, and the
+once-per-poset memo."""
 
 import hashlib
 import random
@@ -20,6 +21,8 @@ from latticelab.lattice import dual, ideal_lattice, interval, try_lattice
 from latticelab.poset import (
     FinitePoset,
     _canonical_search,
+    _packed,
+    _refined_colors,
     canonical_form,
     canonical_relabeling,
     canonicalize,
@@ -32,21 +35,20 @@ from latticelab.poset import (
 from conftest import weak_order
 
 
-def reference_colors(p):
-    "Colour refinement as the library computed it before."
-    n = p.n
-    colors = [
-        (len(p.lower_covers[v]), len(p.upper_covers[v]), p.levels[v])
-        for v in range(n)
-    ]
+def reference_colors(ups, downs, levels):
+    """Colour refinement as the library computed it before, for the
+    poset whose element v has the upper covers ups[v], the lower covers
+    downs[v] and the level levels[v]."""
+    n = len(levels)
+    colors = [(len(downs[v]), len(ups[v]), levels[v]) for v in range(n)]
     palette = sorted(set(colors))
     colors = [palette.index(c) for c in colors]
     while True:
         signature = [
             (
                 colors[v],
-                tuple(sorted(colors[w] for w in p.lower_covers[v])),
-                tuple(sorted(colors[w] for w in p.upper_covers[v])),
+                tuple(sorted(colors[w] for w in downs[v])),
+                tuple(sorted(colors[w] for w in ups[v])),
             )
             for v in range(n)
         ]
@@ -64,7 +66,7 @@ def reference_canonical(p):
     n = p.n
     if n == 0:
         return (), n.to_bytes(4, "big")
-    colors = reference_colors(p)
+    colors = reference_colors(p.upper_covers, p.lower_covers, p.levels)
     by_color = {}
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)
@@ -115,6 +117,97 @@ def reference_canonical(p):
         np.asarray(best_bits, dtype=np.uint8)
     ).tobytes()
     return tuple(perm), form
+
+
+def reference_stack_search(n, ups, downs, levels):
+    """(perm, form, automorphisms) by the stack walk the library used
+    before, with a frame for every slot, the colours of reference_colors
+    and no shortcut for a discrete colouring; the packing is the
+    library's _packed."""
+    if n == 0:
+        return (), n.to_bytes(4, "big"), ()
+    colors = reference_colors(ups, downs, levels)
+    by_color = {}
+    for v, c in enumerate(colors):
+        by_color.setdefault(c, []).append(v)
+    slot_class = []
+    for c in sorted(by_color):
+        slot_class.extend([by_color[c]] * len(by_color[c]))
+
+    low = [0] * n
+    high = [0] * n
+    used = [False] * n
+    path = []
+    chunks = []
+    best = best_path = None
+    below = -1  # no best leaf yet: everything is below it
+    todo = [iter(slot_class[0])]
+    tried = [0]  # per node, the candidates taken there, bit v for v
+    fixing = [[]]  # per node, the automorphisms found that fix the path
+    found = fixing[0]
+    back = None  # the slot to go back to after an automorphism
+    while todo:
+        s = len(todo) - 1
+        if below >= s:
+            below = n
+        fix = fixing[s]
+        for v in todo[-1]:
+            if fix and any(tried[s] >> g[v] & 1 for g in fix):
+                continue
+            tried[s] |= 1 << v
+            chunk = low[v] << n | high[v]
+            if below >= s:
+                if chunk > best[s]:
+                    continue
+                if chunk < best[s]:
+                    below = s
+            if s + 1 < n:
+                break
+            if below < n:
+                best, best_path, below = chunks + [chunk], path + [v], n
+                continue
+            g = [0] * n
+            for w, x in zip(best_path, path + [v]):
+                g[w] = x
+            back = next(k for k, w in enumerate(path) if w != best_path[k])
+            for f in fixing[: back + 1]:
+                f.append(g)
+        else:
+            keep = s if back is None else back + 1
+            back = None
+            while len(todo) > keep:
+                todo.pop()
+                tried.pop()
+                fixing.pop()
+                if path:
+                    v = path.pop()
+                    chunks.pop()
+                    used[v] = False
+                    clear = ~(1 << (n - len(todo)))
+                    for w in ups[v]:
+                        low[w] &= clear
+                    for w in downs[v]:
+                        high[w] &= clear
+            continue
+        bit = 1 << (n - 1 - s)
+        for w in ups[v]:
+            low[w] |= bit
+        for w in downs[v]:
+            high[w] |= bit
+        used[v] = True
+        path.append(v)
+        chunks.append(chunk)
+        nxt = slot_class[s + 1]
+        if len(nxt) > 1:
+            nxt = [w for w in nxt if not used[w]]
+            if below <= s and len(nxt) > 1:
+                keys = [low[w] << n | high[w] for w in nxt]
+                least = min(keys)
+                nxt = [w for w, key in zip(nxt, keys) if key == least]
+        todo.append(iter(nxt))
+        tried.append(0)
+        fixing.append([g for g in fix if g[v] == v] if fix else [])
+    return _packed(n, best_path, best, found)
 
 
 def reference_down_set_extensions(p):
@@ -183,6 +276,22 @@ FORM_DIGESTS = {
 def test_canonical_forms_are_byte_identical(n):
     forms = b"".join(canonical_form(L.poset) for L in enumerate_lattices(n))
     assert hashlib.sha256(forms).hexdigest()[:16] == FORM_DIGESTS[n]
+
+
+# sha256 over every class with at most 10 elements, in enumeration
+# order: its leq, join and meet bytes, then repr((covers, bot, top,
+# _canonical)).  It pins the dtypes and the automorphisms too.
+TABLE_DIGEST = "1fb4db10fffa1b2e"
+
+
+def test_class_tables_are_byte_identical():
+    h = hashlib.sha256()
+    for n in range(1, 11):
+        for L in enumerate_lattices(n):
+            for table in (L.leq, L.join, L.meet):
+                h.update(table.tobytes())
+            h.update(repr((L.covers, L.bot, L.top, L._canonical)).encode())
+    assert h.hexdigest()[:16] == TABLE_DIGEST
 
 
 def test_ten_element_class_count():
@@ -605,6 +714,44 @@ def test_search_matches_the_reference_on_symmetric_lattices():
     for L in lattices:
         for q in (fresh(L.poset), *(shuffled(L.poset, rng) for _ in range(3))):
             assert (canonical_relabeling(q), canonical_form(q)) == reference_canonical(q)
+
+
+def test_walk_matches_the_stack_walk_on_every_candidate():
+    """The walk that keeps frames only where a node has two or more
+    candidates gives the stack walk's relabeling, form and automorphisms
+    on every candidate with at most 9 elements, orbit-skipped or not,
+    and refines to the reference colours."""
+    count = 0
+    for n in range(2, 10):
+        for L, mask, _, perm, automorphisms, form, _ in candidates(n):
+            ups, downs, levels = _candidate_covers(L, mask)
+            want = reference_stack_search(n, ups, downs, levels)
+            assert (perm, form, automorphisms) == want, (L, mask)
+            assert _refined_colors(ups, downs, levels) == reference_colors(
+                ups, downs, levels
+            )
+            count += 1
+    assert count == 451 + 1676
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(lambda k=k: zoo.boolean(k) for k in range(2, 7)),
+        zoo.m3,
+        zoo.hexagon,
+        lambda: weak_order(4),
+        lambda: weak_order(5),
+    ],
+)
+def test_walk_matches_the_stack_walk_on_symmetric_lattices(make):
+    "B2-B6, M3, the hexagon and the weak orders of S4 and S5, as given and shuffled."
+    L = make()
+    for p in (fresh(L.poset), shuffled(L.poset, random.Random(19))):
+        lists = p.upper_covers, p.lower_covers, p.levels
+        want = reference_stack_search(p.n, *lists)
+        assert _canonical_search(p.n, *lists) == want
+        assert _refined_colors(*lists) == reference_colors(*lists)
 
 
 @pytest.mark.parametrize(

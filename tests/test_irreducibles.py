@@ -26,7 +26,7 @@ from latticelab.irreducibles import (
     perspectivity_witness_recursive,
     perspectivity_witness_scan,
 )
-from latticelab.lattice import Lattice, dual, ideal_lattice, interval
+from latticelab.lattice import _on_poset, dual, ideal_lattice, interval
 from latticelab.poset import FinitePoset, poset_from_covers
 from latticelab.properties import is_distributive, is_semidistributive
 
@@ -380,7 +380,7 @@ def test_cover_paths_match_the_recursive_walker(lattices_up_to_eight):
 def test_maximal_chains_walk_a_long_chain_without_recursion():
     n = 1200
     ids = np.arange(n)
-    L = Lattice(
+    L = _on_poset(
         FinitePoset(n, [(i, i + 1) for i in range(n - 1)], ids[:, None] <= ids),
         np.maximum.outer(ids, ids),
         np.minimum.outer(ids, ids),
