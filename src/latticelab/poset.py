@@ -83,6 +83,7 @@ def _check_pairs(n, pairs):
     seen = set()
     for pair in pairs:
         a, b = pair
+        a, b = index(a), index(b)
         if not (0 <= a < n and 0 <= b < n):
             raise InvalidCoverError(f"pair {pair!r} out of range for n={n}")
         if a == b:
@@ -265,11 +266,12 @@ def transitive_reduce(n, pairs):
 # candidate per orbit of its parent's automorphisms up to n = 10.
 
 
-def _refined_colors(ups, downs, levels):
-    """Colour classes as ranks.  The first colours rank the keys
-    (lower cover count, upper cover count, level), packed in one integer
-    each; then each round splits every class of two or more elements by
-    its members' signatures, the sorted colours of their lower and then
+def _refined_cells(ups, downs, levels):
+    """The refined colour classes, in colour order, each a list of ids in
+    increasing order.  The first colours rank the keys (lower cover
+    count, upper cover count, level), packed in one integer each; then
+    each round splits every class of two or more elements by its
+    members' signatures, the sorted colours of their lower and then
     upper covers, until a round splits none.
 
     A round ranks signatures within each old class, and the parts of a
@@ -308,12 +310,12 @@ def _refined_colors(ups, downs, levels):
                     continue
             parts.append(cell)
         if len(parts) == len(cells):
-            return colors
+            return cells
         cells = parts
         for c, cell in enumerate(cells):
             for v in cell:
                 colors[v] = c
-    return colors
+    return cells
 
 
 def _ranks(keys):
@@ -337,23 +339,22 @@ def _canonical_search(n, ups, downs, levels):
     The encoding lists, slot by slot, the chunk of slot s: whether the
     element on slot t is covered by it, for t < s, then whether it is
     covered by the element on slot t.  Slots are filled colour class by
-    colour class with candidates in increasing id, depth first; a
-    subtree is cut once its chunks exceed the best leaf's, and the first
-    least leaf wins.
+    colour class, in the order and with the classes that _refined_cells
+    gives, with candidates in increasing id, depth first; a subtree is
+    cut once its chunks exceed the best leaf's, and the first least leaf
+    wins.
 
     Only a node with two or more candidates gets a frame on the explicit
     stack.  A node with one candidate (a colour class of one, the last
     member of a class, or the one survivor of the least-chunk rule) is
-    filled in place, and going back takes every slot from the deepest
-    frame's on off the path in one pass, clearing their bits from every
-    element's chunk at once.  The last slot always has one candidate,
-    so a leaf is never a frame.
+    filled in place, so a discrete colouring walks to its one leaf with
+    no frame.  Going back takes every slot from the deepest frame's on
+    off the path in one pass, clearing their bits from the chunks of
+    their covers only.  The last slot always has one candidate, so a
+    leaf is never a frame.
 
-    Four rules skip only subtrees that cannot hold the first least
+    Three rules skip only subtrees that cannot hold the first least
     leaf, so they change no (perm, form):
-    - A refined colouring that is already discrete leaves one candidate
-      per slot, so its path is the one leaf and the search packs it
-      with no walk and no automorphism.
     - While the path is strictly below the best leaf, or there is none
       yet, a node keeps only its candidates with the least chunk: every
       path extends to a leaf, and leaves compare chunk by chunk.
@@ -383,21 +384,7 @@ def _canonical_search(n, ups, downs, levels):
     """
     if n == 0:
         return (), n.to_bytes(4, "big"), ()
-    colors = _refined_colors(ups, downs, levels)
-    if max(colors) + 1 == n:
-        # A discrete colouring is the one leaf: slot colors[v] holds v.
-        # Each chunk is v's whole row; the packing keeps the bits of the
-        # slots before v's own.
-        bit = [1 << (n - 1 - c) for c in colors].__getitem__
-        best_path = sorted(range(n), key=colors.__getitem__)
-        best = [sum(map(bit, downs[v])) << n | sum(map(bit, ups[v])) for v in best_path]
-        return _packed(n, best_path, best, ())
-    by_color = {}
-    for v, c in enumerate(colors):
-        by_color.setdefault(c, []).append(v)
-    slot_class = []
-    for c in sorted(by_color):
-        slot_class.extend([by_color[c]] * len(by_color[c]))
+    slot_class = [cell for cell in _refined_cells(ups, downs, levels) for _ in cell]
 
     low = [0] * n
     high = [0] * n
@@ -451,12 +438,15 @@ def _canonical_search(n, ups, downs, levels):
                 frame = frames[-1]
                 s, todo, tried, fix = frame
                 if len(path) > s:
-                    # Slot t is bit n-1-t: keep the bits of the slots before s.
+                    # Slot t is bit n-1-t: keep the bits of the slots before
+                    # s, on the covers of the elements taken off the path.
                     keep = -1 << (n - s)
-                    low = [x & keep for x in low]
-                    high = [x & keep for x in high]
                     for w in path[s:]:
                         used[w] = False
+                        for x in ups[w]:
+                            low[x] &= keep
+                        for x in downs[w]:
+                            high[x] &= keep
                     del path[s:], chunks[s:]
                 if below >= s:
                     below = n  # path[:s] ties the best leaf again

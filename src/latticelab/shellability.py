@@ -691,7 +691,7 @@ def _search(L, budget):
     "unknown".  The canonical labeling before the search prunes with the
     automorphisms it finds, so symmetric inputs do not stall it: it takes
     about 1 ms on B5 and M_10, 10 ms on B7, M_20 and the weak order of S5,
-    0.15 s on M_40 and 4 s on the weak order of S6 (720 elements; 2 vCPUs,
+    0.15 s on M_40 and 2.9 s on the weak order of S6 (720 elements; 2 vCPUs,
     Python 3.11).  The tests hold both certificates to this search.
     """
     intervals, edge_orders = _search_plans(L)

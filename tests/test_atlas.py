@@ -13,6 +13,7 @@ from latticelab.atlas import (
     AtlasEntry,
     HuntReport,
     ImplicationReport,
+    _down_set_extensions,
     build_atlas,
     check_implications,
     entry_lattice,
@@ -31,7 +32,7 @@ from latticelab.errors import (
     InvariantViolation,
 )
 from latticelab.lattice import dual
-from latticelab.poset import canonical_form
+from latticelab.poset import canonical_form, canonical_relabeling, transitive_reduce
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
 
@@ -105,6 +106,36 @@ def test_each_level_holds_the_dual_of_each_class():
         duals = [canonical_form(dual(L)) for L in enumerate_lattices(n)]
         assert set(duals) == set(forms), n
         assert sum(map(bytes.__eq__, forms, duals)) == self_dual, n
+
+
+def test_removing_a_largest_coatom_gives_a_class_of_the_level_below():
+    """The largest-coatom rule, checked directly: for every class with
+    n <= 9 and each coatom c with the largest down-set, the class minus
+    c, reduced from its order, is a class P of level n - 1, and the
+    down-set of c minus c, in P's ids, is one of P's extensions."""
+    removals = 0
+    for n in range(2, 10):
+        below = {canonical_form(P): P for P in enumerate_lattices(n - 1)}
+        for L in enumerate_lattices(n):
+            sizes = {c: L.down_sets[c].bit_count() for c in L.coatoms}
+            largest = max(sizes.values())
+            for c in L.coatoms:
+                if sizes[c] != largest:
+                    continue
+                keep = [x for x in range(n) if x != c]
+                order = [
+                    (i, j)
+                    for i, a in enumerate(keep)
+                    for j, b in enumerate(keep)
+                    if a != b and L.leq[a, b]
+                ]
+                p = transitive_reduce(n - 1, order)
+                P = below[canonical_form(p)]
+                perm = canonical_relabeling(p)
+                mask = sum(1 << perm[i] for i, a in enumerate(keep) if L.leq[a, c])
+                assert mask in {m for m, _ in _down_set_extensions(P)}, (L, c)
+                removals += 1
+    assert removals == 1764
 
 
 def test_enumerated_lattices_are_canonical_and_distinct():

@@ -1,5 +1,6 @@
 import collections
 import inspect
+import json
 import random
 import time
 
@@ -8,6 +9,7 @@ import pytest
 
 from latticelab import zoo
 from latticelab.atlas import enumerate_lattices
+from latticelab.classify import classify
 from latticelab.errors import (
     BoundExceededError,
     CycleError,
@@ -17,7 +19,7 @@ from latticelab.errors import (
     LatticeError,
     NotReducedError,
 )
-from latticelab.lattice import ideal_lattice
+from latticelab.lattice import ideal_lattice, try_lattice
 from latticelab.poset import (
     MAX_ELEMENTS,
     FinitePoset,
@@ -372,7 +374,13 @@ def test_ingestion_takes_numpy_integers():
     assert p.covers == L.covers and np.array_equal(p.leq, L.leq)
     assert {type(x) for pair in p.covers for x in pair} == {int}
     covers = [tuple(np.array(pair)) for pair in L.covers]
-    assert np.array_equal(poset_from_covers(L.n, covers).leq, L.leq)
+    q = poset_from_covers(L.n, covers)
+    assert q.covers == L.covers and np.array_equal(q.leq, L.leq)
+    assert {type(x) for pair in q.covers for x in pair} == {int}
+    m3_covers = [tuple(pair) for pair in np.array(zoo.m3().covers)]
+    m3 = try_lattice(poset_from_covers(5, m3_covers))
+    assert {type(x) for pair in m3.covers for x in pair} == {int}
+    json.dumps(classify(m3).as_json())
     with pytest.raises(NotReducedError) as err:
         poset_from_covers(L.n, covers + [(np.int64(0), np.int64(127))])
     assert err.value.pair == (0, 127) and err.value.path == (0, 1, 127)
