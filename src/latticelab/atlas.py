@@ -8,9 +8,9 @@ the down-sets of the parent, and keeps only the new coatoms with a
 down-set as large as any other coatom's, since removing such a coatom
 already reaches every class: for n <= 10 it walks 33,533 down-sets and
 gives the lattice test the 16,914 that are large enough.  Of the 11,213
-extensions that pass, the generator searches one per orbit of the
-parent's automorphisms, which the parent's own canonical search found:
-7,946 searches in all, the one-element base included, for 7,372
+extensions that pass, the generator skips each whose mask one of the
+parent's automorphisms (found by its own canonical search) maps
+lower: 7,946 searches in all, the one-element base included, for 7,372
 classes.  Everything about a child but its canonical labeling comes
 from its parent.  A candidate is searched on cover lists and levels
 edited from the parent's, with no poset built.  Only a kept class is
@@ -204,23 +204,10 @@ def _pairs(n):
     return tuple((a, b) for a in range(n) for b in range(n))
 
 
-def _least_in_orbit(mask, automorphisms):
-    """Whether no product of the automorphisms maps the bitmask mask to a
-    smaller one.  The orbit is walked image by image and left at the
-    first smaller image."""
-    seen = {mask}
-    todo = [mask]
-    while todo:
-        m = todo.pop()
-        members = [x for x in range(m.bit_length()) if m >> x & 1]
-        for g in automorphisms:
-            image = sum(1 << g[x] for x in members)
-            if image < mask:
-                return False
-            if image not in seen:
-                seen.add(image)
-                todo.append(image)
-    return True
+def _least_image(mask, automorphisms):
+    "Whether none of the automorphisms maps the bitmask mask to a smaller one."
+    members = [x for x in range(mask.bit_length()) if mask >> x & 1]
+    return all(sum(1 << g[x] for x in members) >= mask for g in automorphisms)
 
 
 @lru_cache(maxsize=None)
@@ -240,15 +227,19 @@ def _lattices(n):
     table cells, and each is seeded with its relabeling, form and
     automorphisms so that it is never searched again.
 
-    A mask that some product of L's automorphisms maps to a smaller one
-    is not searched, and this changes no class.  Masks are tried in
-    increasing order, so such a mask is g(m) for an automorphism g and a
-    mask m tried before it; g maps down-sets, their cuts and their sizes
-    to those of the image, so m is an extension too, and the candidate
-    over g(m) is isomorphic to the one over m.  Its form is already kept
-    with an earlier candidate, so every form keeps the same first parent,
-    mask and relabeling.  This needs only that each automorphism L's
-    search returned is one, not that they generate L's whole group.
+    A mask that one of L's automorphisms maps to a smaller one is not
+    searched, and this changes no class.  Masks are tried in increasing
+    order.  An automorphism g maps down-sets, their cuts and their sizes
+    to those of the image, so the smaller image of such a mask is an
+    extension tried before it, with an isomorphic candidate.  By
+    induction on the mask, each extension's form is kept by the time its
+    mask has been tried, and the first mask of each form is never
+    skipped, so every form keeps the same first parent, mask and
+    relabeling as with no skip.  This needs only that each automorphism
+    L's search returned is one, not that they generate L's whole group.
+    Each image is tested once, with no orbit walked, so the skipped masks
+    are some of those that products of the automorphisms map lower;
+    through n = 12 they are all of them.
 
     The candidate is a lattice.  The cut test makes D cut below each x
     other than the top a principal down-set, the down-set of e ∧ x, so
@@ -277,7 +268,7 @@ def _lattices(n):
     for L in _lattices(n - 1):
         symmetries = L._canonical[2]
         for mask, meets in _down_set_extensions(L):
-            if symmetries and not _least_in_orbit(mask, symmetries):
+            if symmetries and not _least_image(mask, symmetries):
                 continue
             ups, downs, levels = _candidate_covers(L, mask)
             perm, form, automorphisms = _canonical_search(n, ups, downs, levels)

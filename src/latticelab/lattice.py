@@ -80,7 +80,7 @@ class Lattice(FinitePoset):
         return self.lower_covers[self.top]
 
     def relabel(self, perm):
-        "Copy with element i renamed to perm[i]."
+        "Copy with element i renamed to perm[i], an integer id."
         poset = super().relabel(perm)
         ids = np.asarray(perm, dtype=self.join.dtype)
         inverse = np.argsort(ids)
@@ -89,8 +89,8 @@ class Lattice(FinitePoset):
             poset,
             ids[self.join[square]],
             ids[self.meet[square]],
-            perm[self.bot],
-            perm[self.top],
+            int(ids[self.bot]),
+            int(ids[self.top]),
         )
 
 

@@ -171,7 +171,8 @@ class FinitePoset:
         )
 
     def relabel(self, perm):
-        "Copy with element i renamed to perm[i]."
+        "Copy with element i renamed to perm[i], an integer id."
+        perm = [index(i) for i in perm]
         if sorted(perm) != list(range(self.n)):
             raise ValueError(f"not a permutation of 0..{self.n - 1}: {perm!r}")
         covers = [(perm[a], perm[b]) for a, b in self.covers]
@@ -262,8 +263,8 @@ def transitive_reduce(n, pairs):
 # the way pruning symmetric subtrees.  Exact and deterministic; symmetric
 # lattices such as B7 (128 elements) or M_40 take under a second.  The
 # search returns the automorphisms it found, in canonical slot ids, so
-# they do not depend on how the input was labeled; the atlas searches one
-# candidate per orbit of its parent's automorphisms up to n = 10.
+# they do not depend on how the input was labeled; the atlas skips a
+# candidate whose mask one of its parent's automorphisms maps lower.
 
 
 def _refined_cells(ups, downs, levels):
@@ -355,9 +356,10 @@ def _canonical_search(n, ups, downs, levels):
 
     Three rules skip only subtrees that cannot hold the first least
     leaf, so they change no (perm, form):
-    - While the path is strictly below the best leaf, or there is none
-      yet, a node keeps only its candidates with the least chunk: every
-      path extends to a leaf, and leaves compare chunk by chunk.
+    - While the path does not tie the best leaf (it is strictly below
+      it, or there is none yet), a node keeps only its candidates with
+      the least chunk: every path extends to a leaf, and leaves compare
+      chunk by chunk.
     - A leaf equal to the best one gives an automorphism g, taking the
       best path's slot s to the leaf's.  g fixes the slots where the two
       paths agree, up to slot k where they first differ, so the subtree
@@ -379,8 +381,20 @@ def _canonical_search(n, ups, downs, levels):
     edges as slots fill: bit n-1-t of ``low[v]`` says slot t is covered by
     v, the same bit of ``high[v]`` that v is covered by slot t, so
     comparing (low << n) | high compares chunks lexicographically.
-    Chunks are compared with the best leaf's only while the path ties it;
-    ``below`` is the slot where the path went strictly below the best.
+    Chunks are compared with the best leaf's only while the path ties it
+    (``tied``), and only for the candidates of a frame:
+    - A node with one candidate needs no comparison.  The refined cells
+      are equitable: each member of a cell has as many lower covers, and
+      as many upper covers, in every cell as any other member.  While the
+      path ties, the least-chunk rule is off, so the one candidate v is
+      the last unplaced member of its cell C.  Each earlier slot holds a
+      member of the same cell on both paths, with as many covers in C;
+      the tied chunks place those with the rest of C, so the one with v
+      matches too, and v's chunk is the best leaf's.
+    - Going back needs no reset.  No comparison cuts a descent that has
+      left the tie, and a frame's first candidate is never skipped, so
+      that descent reaches a leaf, which becomes the new best: at every
+      return to a frame the path ties already.
     """
     if n == 0:
         return (), n.to_bytes(4, "big"), ()
@@ -392,7 +406,7 @@ def _canonical_search(n, ups, downs, levels):
     path = []
     chunks = []
     best = best_path = None
-    below = -1  # no best leaf yet: everything is below it
+    tied = False  # whether the path ties the best leaf; none yet
     found = []  # every automorphism found
     # Per node with two or more candidates: [slot, candidates, the
     # candidates taken there as bit v for v, the automorphisms found
@@ -411,14 +425,9 @@ def _canonical_search(n, ups, downs, levels):
         else:
             v = nxt[0]
             chunk = low[v] << n | high[v]
-            if below >= s:
-                if chunk > best[s]:
-                    v = None
-                elif chunk < best[s]:
-                    below = s
-            if v is not None and s + 1 == n:  # a leaf
-                if below < n:  # strictly below the best leaf
-                    best, best_path, below = chunks + [chunk], path + [v], n
+            if s + 1 == n:  # a leaf
+                if not tied:
+                    best, best_path, tied = chunks + [chunk], path + [v], True
                 else:
                     g = [0] * n
                     for w, x in zip(best_path, path + [v]):
@@ -448,18 +457,15 @@ def _canonical_search(n, ups, downs, levels):
                         for x in downs[w]:
                             high[x] &= keep
                     del path[s:], chunks[s:]
-                if below >= s:
-                    below = n  # path[:s] ties the best leaf again
                 for v in todo:
                     if fix and any(tried >> g[v] & 1 for g in fix):
                         continue
                     tried |= 1 << v
                     chunk = low[v] << n | high[v]
-                    if below >= s:
+                    if tied:
                         if chunk > best[s]:
                             continue
-                        if chunk < best[s]:
-                            below = s
+                        tied = chunk == best[s]
                     frame[2] = tried
                     break
                 else:
@@ -479,7 +485,7 @@ def _canonical_search(n, ups, downs, levels):
         nxt = slot_class[s + 1]
         if len(nxt) > 1:
             nxt = [w for w in nxt if not used[w]]
-            if below <= s and len(nxt) > 1:  # strictly below: least chunks
+            if not tied and len(nxt) > 1:  # strictly below: least chunks
                 keys = [low[w] << n | high[w] for w in nxt]
                 least = min(keys)
                 nxt = [w for w, key in zip(nxt, keys) if key == least]

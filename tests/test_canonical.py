@@ -15,6 +15,7 @@ from latticelab.atlas import (
     _class_block,
     _down_set_extensions,
     _lattices,
+    _least_image,
     enumerate_lattices,
 )
 from latticelab.lattice import dual, ideal_lattice, interval, try_lattice
@@ -220,6 +221,25 @@ def reference_stack_search(n, ups, downs, levels):
     return _packed(n, best_path, best, found)
 
 
+def reference_least_in_orbit(mask, automorphisms):
+    """The orbit walk _least_image replaced.  Whether no product of the
+    automorphisms maps the bitmask mask to a smaller one.  The orbit is
+    walked image by image and left at the first smaller image."""
+    seen = {mask}
+    todo = [mask]
+    while todo:
+        m = todo.pop()
+        members = [x for x in range(m.bit_length()) if m >> x & 1]
+        for g in automorphisms:
+            image = sum(1 << g[x] for x in members)
+            if image < mask:
+                return False
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return True
+
+
 def reference_down_set_extensions(p):
     "The frozenset scan _down_set_extensions replaced."
     n = p.n
@@ -381,10 +401,10 @@ def test_search_runs_once_per_poset(monkeypatch):
 
 def test_enumeration_searches_once_per_candidate(monkeypatch):
     """One search per candidate lattice whose new element is a largest
-    coatom and whose mask is least in its orbit under the parent's
-    automorphisms, and one for the one-element base: 314 with at most 8
-    elements, of 452 without the orbit rule, and 7,946 with at most 10,
-    of 11,214.  The returned lattices are seeded, not searched."""
+    coatom and whose mask no automorphism of the parent maps lower, and
+    one for the one-element base: 314 with at most 8 elements, of 452
+    without the orbit rule, and 7,946 with at most 10, of 11,214.  The
+    returned lattices are seeded, not searched."""
     calls = []
     record_searches(monkeypatch, calls)
     _lattices.cache_clear()
@@ -563,7 +583,7 @@ def test_largest_coatom_rule_keeps_every_class():
 
 def test_candidates_per_level():
     """The scan yields only the extensions whose new element is a largest
-    coatom; the enumerator searches those least in their orbit."""
+    coatom; the enumerator searches those no automorphism maps lower."""
     counts = [
         sum(len(_down_set_extensions(L)) for L in _lattices(n - 1))
         for n in range(2, 9)
@@ -619,6 +639,21 @@ def test_orbit_pruning_keeps_the_classes_of_the_unpruned_loop():
             assert np.array_equal(M.join, W.join)
             assert np.array_equal(M.meet, W.meet)
             assert (M.bot, M.top) == (W.bot, W.top)
+
+
+def test_one_image_per_automorphism_skips_as_the_orbit_walk_does():
+    """_least_image, which tests each automorphism's image of a mask once,
+    skips the masks the orbit walk skips, for every parent with at most
+    9 elements and each mask _down_set_extensions yields for it."""
+    skipped = 0
+    for n in range(1, 10):
+        for L in _lattices(n):
+            automorphisms = L._canonical[2]
+            for mask, _ in _down_set_extensions(L):
+                least = reference_least_in_orbit(mask, automorphisms)
+                assert _least_image(mask, automorphisms) == least, (L, mask)
+                skipped += not least
+    assert skipped == 11214 - 7946
 
 
 def slot_covers(p):
@@ -744,16 +779,16 @@ def test_walk_matches_the_stack_walk_on_every_candidate():
     assert count == 451 + 1676
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        *(lambda k=k: zoo.boolean(k) for k in range(2, 7)),
-        zoo.m3,
-        zoo.hexagon,
-        lambda: weak_order(4),
-        lambda: weak_order(5),
-    ],
-)
+SYMMETRIC_LATTICES = [
+    *(lambda k=k: zoo.boolean(k) for k in range(2, 7)),
+    zoo.m3,
+    zoo.hexagon,
+    lambda: weak_order(4),
+    lambda: weak_order(5),
+]
+
+
+@pytest.mark.parametrize("make", SYMMETRIC_LATTICES)
 def test_walk_matches_the_stack_walk_on_symmetric_lattices(make):
     "B2-B6, M3, the hexagon and the weak orders of S4 and S5, as given and shuffled."
     L = make()
@@ -762,6 +797,36 @@ def test_walk_matches_the_stack_walk_on_symmetric_lattices(make):
         want = reference_stack_search(p.n, *lists)
         assert _canonical_search(p.n, *lists) == want
         assert cell_colors(_refined_cells(*lists)) == reference_colors(*lists)
+
+
+def assert_equitable(ups, downs, levels):
+    "Each member of a refined cell has the same cover counts in each cell."
+    cells = _refined_cells(ups, downs, levels)
+    color = cell_colors(cells)
+    for cell in cells:
+        counts = {
+            (
+                tuple(sorted(color[w] for w in downs[v])),
+                tuple(sorted(color[w] for w in ups[v])),
+            )
+            for v in cell
+        }
+        assert len(counts) == 1, cell
+
+
+def test_refined_cells_are_equitable():
+    """Each member of a refined cell has as many lower covers, and as many
+    upper covers, in every cell as any other member, which is why the
+    walk compares no chunk at a node with one candidate.  Checked on
+    every candidate with at most 9 elements and on the symmetric
+    lattices, as given and shuffled."""
+    for n in range(2, 10):
+        for L, mask, *_ in candidates(n):
+            assert_equitable(*_candidate_covers(L, mask))
+    for make in SYMMETRIC_LATTICES:
+        L = make()
+        for p in (fresh(L.poset), shuffled(L.poset, random.Random(19))):
+            assert_equitable(p.upper_covers, p.lower_covers, p.levels)
 
 
 @pytest.mark.parametrize(

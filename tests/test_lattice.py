@@ -1,10 +1,11 @@
+import json
 import random
 
 import numpy as np
 import pytest
 
 import latticelab.lattice
-from latticelab import zoo
+from latticelab import classify, zoo
 from latticelab.atlas import enumerate_lattices
 from latticelab.errors import (
     BoundExceededError,
@@ -234,6 +235,19 @@ def test_lattices_with_the_same_covers_are_equal():
     # A lattice is the poset it is, so it equals a bare poset with its covers.
     assert L == p and p == L and hash(L) == hash(p)
     assert L != L.relabel([1, 0, 2, 3, 4, 5])
+
+
+def test_relabel_takes_numpy_integers_and_rejects_floats():
+    """A numpy permutation gives Python int covers, bottom and top, so the
+    record dumps to JSON; a float one is no permutation of ids."""
+    M = zoo.m3().relabel(np.array([0, 2, 1, 3, 4]))
+    assert {type(x) for pair in M.covers for x in pair} == {int}
+    assert (type(M.bot), type(M.top)) == (int, int)
+    assert M == zoo.m3().relabel([0, 2, 1, 3, 4])
+    json.dumps(classify(M).as_json())
+    for q in (zoo.m3(), zoo.m3().poset):
+        with pytest.raises(TypeError):
+            q.relabel([0.0, 2.0, 1.0, 3.0, 4.0])
 
 
 def test_two_point_antichain_is_not_a_lattice():
