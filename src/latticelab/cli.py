@@ -9,6 +9,7 @@ reads stdin wherever a file is expected.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -238,7 +239,9 @@ def _el_budget(text):
     return budget
 
 
+@functools.cache
 def build_parser():
+    "The argument parser, built on the first call and shared by the rest."
     parser = argparse.ArgumentParser(
         prog="latticelab",
         description="Analyze finite lattices and build the small-lattice atlas.",

@@ -179,6 +179,22 @@ def test_cli_check_json_deterministic(tmp_path, capsys):
     assert list(record) == sorted(record)
 
 
+def test_cli_calls_in_one_process_share_no_flags(tmp_path, capsys):
+    "The parser is built once per process; each call parses its own flags."
+    path = lat_file(tmp_path, zoo.hexagon())
+    assert main(["check", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["el_shellable"] == "no"
+    assert main(["check", path]) == 0
+    table = capsys.readouterr().out
+    assert "EL-shellable" in table and not table.startswith("{")
+    assert main(["el", path, "--stats"]) == 0
+    assert capsys.readouterr().err
+    assert main(["el", path]) == 0
+    plain = capsys.readouterr()
+    assert plain.out == "status: not_shellable\nnodes: 0\nrefuted_by: 0 5 1\n"
+    assert plain.err == ""
+
+
 def test_cli_check_reads_stdin(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(HEXAGON_LAT))
     assert main(["check", "-", "--json"]) == 0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import weak_order
+from conftest import random_ideal_posets, weak_order
 from latticelab import zoo
 from latticelab.atlas import enumerate_lattices
 from latticelab.classify import classify
@@ -518,6 +518,12 @@ def test_verifier_is_polynomial_on_a_long_chain():
     verdict = is_el_labeling(L, labels)
     assert verdict.interval == (149, 151)
     assert verdict.reason == "no_increasing_chain"
+    L = zoo.chain(2000)
+    labels = lm_labeling(L, left_modular_chain(L))
+    start = time.perf_counter()
+    verdict = is_el_labeling(L, labels)
+    assert time.perf_counter() - start < 0.15
+    assert verdict.status == "is_el"
 
 
 def test_verifier_matches_oracle_at_eight_elements():
@@ -537,6 +543,81 @@ def test_verifier_matches_oracle_at_eight_elements():
             reasons.add(assert_matches_oracle(L, labels).reason)
     assert certified == 182
     assert reasons >= REASONS
+
+
+def reference_target_sweep(L, labeling):
+    """_failing_intervals as the library computed it before: one backward
+    sweep per target b, with five scalars per element below b."""
+    order = L.topological_order
+    downs = [
+        [(x, labeling[(x, w)]) for x in L.lower_covers[w]] for w in range(L.n)
+    ]
+    failing = []
+    for stop, b in enumerate(order):
+        first = None
+        pending = {}  # x -> [least, ties, rising, riser, every [w, b] passes]
+        for w in order[stop::-1]:
+            if w != b:
+                state = pending.pop(w, None)
+                if state is None:
+                    continue
+                least, ties, rising, riser, ok = state
+                if ok and ties == 1 and rising == 1 and riser == least:
+                    first = least
+                else:
+                    first = False
+                    failing.append((w, b))
+            for x, label in downs[w]:
+                state = pending.get(x)
+                if state is None:
+                    state = pending[x] = [label, 0, 0, None, True]
+                if first is False:
+                    state[4] = False
+                    continue
+                if label < state[0]:
+                    state[0] = label
+                    state[1] = 1
+                elif label == state[0]:
+                    state[1] += 1
+                if first is None or label < first:
+                    state[2] += 1
+                    state[3] = label
+    return failing
+
+
+def one_label_changed(labeling, rng):
+    "The labeling with one cover's label replaced."
+    out = dict(labeling)
+    out[rng.choice(sorted(out))] = rng.randint(0, max(out.values()) + 1)
+    return out
+
+
+def test_failing_intervals_match_the_target_sweep(large_lattices):
+    """Where listing chains is too slow: every left-modular labeling with
+    n <= 9, B6, the partition lattice of 5 points and its dual, the chain
+    of 61 elements and ideal lattices of random 8-element posets, each as
+    labeled and with one label changed."""
+    rng = random.Random(35)
+    lattices = [L for n in range(1, 10) for L in enumerate_lattices(n)]
+    lattices += [
+        large_lattices["boolean6"],
+        large_lattices["partitions5"],
+        large_lattices["dual_partitions5"],
+        zoo.chain(60),
+        *(ideal_lattice(p)[0] for p in random_ideal_posets(35, 6, k=8)),
+    ]
+    checked = 0
+    for L in lattices:
+        chain = left_modular_chain(L)
+        if chain is None or not L.covers:
+            continue
+        labels = lm_labeling(L, chain)
+        for labeling in (labels, one_label_changed(labels, rng)):
+            failing = _failing_intervals(L, labeling)
+            assert len(failing) == len(set(failing))
+            assert set(failing) == set(reference_target_sweep(L, labeling)), L
+            checked += 1
+    assert checked == 2130
 
 
 # ---------------------------------------------------------------------------
