@@ -15,15 +15,15 @@ classes.  Everything about a child but its canonical labeling comes
 from its parent.  A candidate is searched on cover lists and levels
 edited from the parent's, with no poset built.  Only a kept class is
 built, from the upper covers its search ran on, the meet row the scan
-found for the new element, and its parent's order and join and meet
-tables.  A level's kept classes are built a block at a time: their
-parents' tables are stacked, the new element's row and column added to
-all of them at once, and one fancy-index pass writes them into canonical
-slots.  Each class's tables are views of its block's arrays, and as for
-every lattice, numpy refuses to make them writable.  So past one
-element the generator neither reduces, decodes a form nor calls
-try_lattice.  The naive oracle filters all upper-triangular cover sets
-and exists only to cross-check the generator at small sizes.
+found for the new element, and its parent's join and meet tables.  A
+level's kept classes are built a block at a time: their parents' tables
+are stacked, the new element's row and column added to all of them at
+once, and one fancy-index pass writes them into canonical slots, where
+the meets give the order.  Each class's tables are views of its block's
+arrays, and as for every lattice, numpy refuses to make them writable.
+So past one element the generator neither reduces, decodes a form nor
+calls try_lattice.  The naive oracle filters all upper-triangular cover
+sets and exists only to cross-check the generator at small sizes.
 """
 
 import json
@@ -45,6 +45,7 @@ from .errors import (
 from .lattice import Lattice, try_lattice
 from .poset import (
     _canonical_search,
+    _form_size,
     _read_only,
     _seed_canonical,
     canonical_form,
@@ -141,34 +142,26 @@ def _class_block(n, block):
     candidate's canonical search result and its upper covers as
     _candidate_covers edited them.
 
-    The k parents' tables are gathered into (k, n, n) arrays.  leq is
-    L's, with the column of e = n - 1 true on mask and on e, and its row
-    true on e and the top.  On L's elements the meet is L's, and the join
-    is L's but that two members of mask whose join in L is the top now
-    join to e.  e joins a member of mask to e and anything else to the
+    The k parents' join and meet tables are gathered into (k, n, n)
+    arrays.  On L's elements the meet is L's, and the join is L's but
+    that two members of mask whose join in L is the top now join to
+    e = n - 1.  e joins a member of mask to e and anything else to the
     top, and meets are its meet row.  One fancy-index pass moves every
-    class into canonical slots, and the three arrays it gives are made
-    read-only once; each class's tables are views of them, which the
-    Lattice constructor takes as they are, with no poset built.  A
-    class's covers are its search's upper covers in canonical slots,
-    sorted once as codes a * n + b and read as the shared tuples of
-    _pairs(n).  The bottom is e ∧ L's bottom: e itself when L has one
-    element, where mask is empty.
+    class into canonical slots, where the order is read off the meet:
+    a <= b exactly when a ∧ b = a.  The arrays are made read-only once;
+    each class's tables are views of them, which the Lattice constructor
+    takes as they are, with no poset built.  A class's covers are its
+    search's upper covers in canonical slots, sorted once as codes
+    a * n + b and read as the shared tuples of _pairs(n).  The bottom is
+    e ∧ L's bottom: e itself when L has one element, where mask is empty.
     """
     k, e = len(block), n - 1
-    each = np.arange(k)
     parents = [c[0] for c in block]
     tops = np.array([L.top for L in parents], dtype=np.int32)
     masks = np.array([c[1] for c in block], dtype=np.int64)
-    leq = np.zeros((k, n, n), dtype=bool)
     join = np.empty((k, n, n), dtype=np.int32)
     meet = np.empty((k, n, n), dtype=np.int32)
-    leq[:, :e, :e] = [L.leq for L in parents]
     inside = (masks[:, None] >> np.arange(e) & 1).astype(bool)
-    leq[:, :e, e] = inside
-    leq[:, e, e] = True
-    leq[each, e, tops] = True
-
     join[:, :e, :e] = [L.join for L in parents]
     old = join[:, :e, :e]
     old[(old == tops[:, None, None]) & inside[:, :, None] & inside[:, None, :]] = e
@@ -181,10 +174,10 @@ def _class_block(n, block):
     # Element v of class c goes to slot perm[v]: slot s holds inverse[c, s].
     ids = np.array([c[3] for c in block], dtype=np.int32)
     inverse = np.argsort(ids, axis=1)
-    index = each[:, None, None], inverse[:, :, None], inverse[:, None, :]
-    leq = _read_only(leq[index])
+    index = np.arange(k)[:, None, None], inverse[:, :, None], inverse[:, None, :]
     join = _read_only(ids[index[0], join[index]])
     meet = _read_only(ids[index[0], meet[index]])
+    leq = _read_only(meet == np.arange(n)[:, None])
     pairs = _pairs(n)
     classes = []
     for c, (L, _, meets, perm, automorphisms, form, ups) in enumerate(block):
@@ -360,7 +353,7 @@ class AtlasEntry:
                     raise TypeError(f"{f.name} is not {f.type.__name__}")
         if entry.record.el_shellable not in ("yes", "no", "unknown"):
             raise ValueError(f"el_shellable {entry.record.el_shellable!r}")
-        if int.from_bytes(entry.canonical[:4], "big") != entry.n:
+        if _form_size(entry.canonical) != entry.n:
             raise ValueError(f"canonical form is not of size n={entry.n}")
         return entry
 
@@ -647,7 +640,7 @@ def check_implications(entries):
         designated_found = None
         if arrow.designated:
             form = designated_forms[arrow.designated]
-            if int.from_bytes(form[:4], "big") <= max_n:
+            if _form_size(form) <= max_n:
                 designated_found = any(e.canonical == form for e in violators)
         examples = tuple(e.canonical for e in violators[:_KEEP_EXAMPLES])
         results.append(

@@ -105,25 +105,12 @@ def _on_poset(p, join, meet, bot, top):
 
 def _up_words(leq, order):
     """Row x of leq as ceil(n/64) uint64 words, word-major: bit i of
-    words[k, x] is leq[x, order[64k + i]].
-
-    The words are packed from one gathered bool copy, read along the rows
-    of whichever of leq and leq.T is C-ordered: leq's columns for joins,
-    the rows of leq.T for meets, where leq is a transposed view.  A gather
-    across the rows would be slow, and numpy would first copy leq.
-    """
+    words[k, x] is leq[x, order[64k + i]].  Meets pass leq.T, a view."""
     n = len(order)
-    width = -(-n // 64)  # words per up-set
-    if leq.flags.c_contiguous:
-        bits = np.packbits(np.take(leq, order, axis=1), axis=1, bitorder="little")
-        padded = np.zeros((n, 8 * width), dtype=np.uint8)
-        padded[:, : bits.shape[1]] = bits
-        return np.ascontiguousarray(padded.view("<u8").T, dtype=np.uint64)
-    # rows[i, x] = leq[x, order[i]]; mode clip gathers with no buffer.
-    rows = np.zeros((64 * width, n), dtype=bool)
-    np.take(leq.T, order, axis=0, out=rows[:n], mode="clip")
-    weights = np.uint64(1) << np.arange(64, dtype=np.uint64)  # bit i of a word
-    return np.einsum("kix,i->kx", rows.view(np.uint8).reshape(width, 64, n), weights)
+    bits = np.packbits(np.take(leq, order, axis=1), axis=1, bitorder="little")
+    padded = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)  # whole words
+    padded[:, : bits.shape[1]] = bits
+    return np.ascontiguousarray(padded.view("<u8").T, dtype=np.uint64)
 
 
 def _least_bounds(leq, order):
@@ -206,10 +193,10 @@ def try_lattice(p):
 
 
 def dual(L):
-    "The reversed order, sharing L's elements and tables; an involution."
+    "The reversed order on L's tables, read off its meet L.join; an involution."
     n = L.n
     covers = [(b, a) for a, b in L.covers]
-    leq = np.ascontiguousarray(L.leq.T)
+    leq = L.join == np.arange(n)[:, None]
     return _on_poset(FinitePoset(n, covers, leq), L.meet, L.join, L.top, L.bot)
 
 

@@ -551,13 +551,18 @@ def _identity(n):
     return tuple(range(n))
 
 
+def _form_size(form):
+    "The element count a canonical form states in its 4-byte prefix."
+    return int.from_bytes(form[:4], "big")
+
+
 def poset_from_canonical(form):
     """Inverse of canonical_form: rebuild the canonically labeled poset.
 
     The size is checked before anything is allocated; a form whose length
     or pad bits do not match its size raises FormatError.
     """
-    n = int.from_bytes(form[:4], "big")
+    n = _form_size(form)
     _check_size(n)
     width = n * (n - 1)
     if len(form) != 4 + (width + 7) // 8:

@@ -54,6 +54,11 @@ def test_parse_errors_name_lines():
         parse_covers('{"covers": []}')
 
 
+def test_parse_covers_rejects_a_pair_that_is_not_two_integers():
+    with pytest.raises(FormatError, match="line 2: bad pair '0 x'"):
+        parse_covers("2\n0 x\n")
+
+
 def test_parse_rejects_negative_counts():
     with pytest.raises(FormatError, match="line 2: negative"):
         parse_covers("# no elements\n-3\n")
@@ -301,12 +306,16 @@ def test_cli_el_stats_go_to_stderr_alone(tmp_path, capsys):
 def test_cli_negative_el_budget_is_a_usage_error(tmp_path, capsys, argv):
     path = lat_file(tmp_path, zoo.hexagon())
     argv = [path if arg == "FILE" else arg for arg in argv]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--el-budget", "-3"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--el-budget: must be nonnegative, got -3" in captured.err
+    for budget, message in (
+        ("-3", "must be nonnegative, got -3"),
+        ("x", "invalid int value: 'x'"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--el-budget", budget])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--el-budget: {message}" in captured.err
 
 
 def test_cli_ideals_pipes_into_check(tmp_path, capsys, monkeypatch):

@@ -15,6 +15,7 @@ from latticelab.errors import (
 from latticelab.irreducibles import (
     _cover_paths,
     canonical_join_rep,
+    check_maximal_chain,
     gamma,
     is_perspective,
     join_irreducible_ids,
@@ -147,6 +148,14 @@ def test_gamma_rejects_non_irreducible():
         gamma(L, (0, 1, 4), 4)
     with pytest.raises(NotAMaximalChainError):
         gamma(L, (0, 4), 1)
+
+
+def test_check_maximal_chain_rejects_a_chain_off_the_ends():
+    L = zoo.m3()
+    assert check_maximal_chain(L, [0, 1, 4]) == (0, 1, 4)
+    for chain in ((), (1, 4), (0, 1)):
+        with pytest.raises(NotAMaximalChainError, match="does not run bottom to top"):
+            check_maximal_chain(L, chain)
 
 
 def test_hexagon_perspectivity_examples():

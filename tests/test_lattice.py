@@ -308,7 +308,10 @@ def test_join_is_least_upper_bound():
 
 
 def test_dual_is_involution():
-    for name, L in zoo.fixture_lattices().items():
+    lattices = dict(zoo.fixture_lattices(), B7=zoo.boolean(7))
+    for n in range(1, 8):
+        lattices.update((f"n{n} #{i}", L) for i, L in enumerate(enumerate_lattices(n)))
+    for name, L in lattices.items():
         D = dual(L)
         assert dual(D) == L, name
         assert D.bot == L.top and D.top == L.bot

@@ -275,6 +275,12 @@ def test_el_search_budget_exhaustion():
     assert result.refuted_by is None
 
 
+def test_el_search_result_is_true_exactly_when_shellable():
+    assert el_search(zoo.boolean(2))
+    assert not el_search(zoo.hexagon())
+    assert not el_search(zoo.jsd_not_left_modular(), budget=5)  # unknown
+
+
 def test_el_search_rejects_a_negative_budget():
     with pytest.raises(ValueError, match="nonnegative"):
         el_search(zoo.hexagon(), budget=-3)
