@@ -12,11 +12,14 @@ than a scan of every triple:
   such a j is minimal exactly when j_* <= x, and the only candidate for
   the new image is x v j.
 * Left modularity, in O(n * m) table lookups for m covers, made for a
-  block of elements at a time.  a is left modular exactly when
-  (b v a) ^ c = b v (a ^ c) on every cover b < c.
-  Proof: a failure at y < z gives y' = y v (a ^ z) < z' = (y v a) ^ z
-  with a ^ y' = a ^ z' and a v y' = a v z', and every cover y' < w <= z'
-  inherits both equalities, so the law fails on that cover.
+  block of elements at a time.  a is left modular exactly when no cover
+  y < z collapses both ways: a v y = a v z and a ^ y = a ^ z.
+  Proof: a failure of (b v a) ^ c = b v (a ^ c) at y < z gives
+  y' = y v (a ^ z) < z' = (y v a) ^ z with a ^ y' = a ^ z' and
+  a v y' = a v z', and every cover y' < w <= z' inherits both
+  equalities, so such a cover collapses.  Conversely a collapsing cover
+  y < z has (y v a) ^ z = (z v a) ^ z = z, which is not
+  y = y v (a ^ y) = y v (a ^ z).
 * Join semidistributivity, in O(m) per element a.  The fibers
   F_v = {x : a v x = v}, one for each v >= a, are convex (x <= z <= w
   with x, w in F_v puts z in F_v) and closed under joins.  The law
@@ -31,6 +34,18 @@ than a scan of every triple:
   elements in all, that is, when the elements with such a lower cover
   number n - |up(a)|.  The meet law is the same test on meets, with the
   covers reversed and down(a).
+* A failing join law fails at a meet irreducible, so where the law holds
+  the fiber test runs only at the |M| meet irreducibles, in
+  O(|M| * m) (the meet law: at the join irreducibles).  Proof: suppose
+  a v b = a v c > a v (b ^ c) for some a; fix b and c, take a maximal
+  with this property, and let v = a v b.  w = a v (b ^ c) has the
+  property too and w >= a, so w = a, that is, b ^ c <= a.  An upper
+  cover p of a has p v b = p v c = p v v and p v (b ^ c) = p, so by
+  maximality p = p v v >= v, and p = v as a < v <= p.  So a has the
+  one upper cover v: it is meet irreducible.
+  Where the law fails, the first failing element of the full scan may
+  still be reducible; it lies below the first failing meet irreducible,
+  among the elements the walk skipped, and they are tested in order.
 
 Only when a fast test fails does the triple scan run, to name the same
 first violation as the scan over every triple would.  The brute-force
@@ -56,9 +71,9 @@ class Violation:
 
 def _violation(kind, a, bad):
     """The Violation at a and the first (b, c), in row-major order, where
-    the bool matrix bad is set; bad has some cell set."""
+    the bool matrix bad is set; None when no cell is set."""
     b, c = divmod(int(bad.argmax()), bad.shape[1])
-    return Violation(kind, (a, b, c))
+    return Violation(kind, (a, b, c)) if bad[b, c] else None
 
 
 def _one_step_distributive(L):
@@ -92,27 +107,40 @@ def is_distributive(L):
     )
 
 
-def _semidistributive(kind, x, y, far, near, starts, outside):
+def _semidistributive(kind, x, y, far, near, starts, outside, single):
     """(flag, violation) for a x b = a x c forcing a x b = a x (b y c): the
     join semidistributive law for (x, y) = (join, meet), the meet one for
     (meet, join).  The violation is the first failing triple.
 
-    Decided by the fiber test of the module docstring for each a in turn;
-    (far, near, starts, outside) are from _cover_index.  Only the first a
-    that fails is scanned for its triple."""
-    for a in range(len(x)):
-        row = x[a]
-        # the far ends with a cover toward near inside their own fiber
-        inner = np.logical_or.reduceat(row[near] == row[far], starts)
-        if np.count_nonzero(inner) != outside[a]:
-            bad = (row[:, None] == row[None, :]) & (row[y] != row[:, None])
-            if not bad.any():
-                raise InvariantViolation(
-                    f"{a} fails the fiber test of the {kind} law "
-                    "but no triple violates it"
-                )
-            return False, _violation(kind, a, bad)
-    return True, None
+    Decided by the fiber test of the module docstring; (far, near, starts,
+    outside, single) are from _cover_index.  The test runs at the elements
+    marked in single, in order, and once one fails, at the unmarked
+    elements below it: by the lemma of the module docstring the law fails
+    at a marked element whenever it fails, so this finds the same first
+    failing a as a test of every element in order.  Only that a is scanned
+    for its triple."""
+    end = len(x)
+    for marked in (1, 0):
+        for a in range(end):
+            if single[a] != marked:
+                continue
+            row = x[a]
+            # the far ends with a cover toward near inside their own fiber
+            inner = np.logical_or.reduceat(row[near] == row[far], starts)
+            if np.count_nonzero(inner) != outside[a]:
+                end = a
+                break
+        if end == len(x):
+            return True, None
+    row = x[end]
+    bad = (row[:, None] == row[None, :]) & (row[y] != row[:, None])
+    violation = _violation(kind, end, bad)
+    if violation is None:
+        raise InvariantViolation(
+            f"{end} fails the fiber test of the {kind} law "
+            "but no triple violates it"
+        )
+    return False, violation
 
 
 def is_join_semidistributive(L):
@@ -137,11 +165,13 @@ def is_semidistributive(L):
 
 
 def _cover_index(L, up):
-    """(far, near, starts, outside): the covers of L as index arrays grouped
-    by far, their upper ends when up and their lower ends otherwise.  Each
-    group begins at one of starts, and outside[a] counts the elements
-    outside the up-set (down-set) of a.  The fiber test of the join law
-    reads all four with up, that of the meet law with not up.  With not up,
+    """(far, near, starts, outside, single): the covers of L as index arrays
+    grouped by far, their upper ends when up and their lower ends
+    otherwise.  Each group begins at one of starts, outside[a] counts the
+    elements outside the up-set (down-set) of a, and single[a] is 1 when a
+    is the near end of exactly one cover, that is, meet irreducible (join
+    irreducible), and 0 otherwise.  The fiber test of the join law reads
+    all five with up, that of the meet law with not up.  With not up,
     (far, near) is (lower, upper) in L.covers order, which is all that
     left_modular_elements and shellability.lm_labeling read.  Built once
     per lattice and kept on it as one array, which costs the least memory."""
@@ -149,34 +179,36 @@ def _cover_index(L, up):
     memo = L.__dict__
     if key not in memo:
         pairs = sorted((b, a) for a, b in L.covers) if up else L.covers
+        count = [0] * L.n
+        for _, w in pairs:
+            count[w] += 1
         memo[key] = np.array(
             [v for v, _ in pairs]
             + [w for _, w in pairs]
             + [i for i, (v, _) in enumerate(pairs) if not i or pairs[i - 1][0] != v]
-            + (L.n - L.leq.sum(axis=1 if up else 0)).tolist(),
+            + (L.n - L.leq.sum(axis=1 if up else 0)).tolist()
+            + [c == 1 for c in count],
             dtype=np.intp,
         )
-    packed, m = memo[key], len(L.covers)
-    return packed[:m], packed[m:2 * m], packed[2 * m:-L.n], packed[-L.n:]
+    packed, m, n = memo[key], len(L.covers), L.n
+    starts = packed[2 * m:-2 * n]
+    return packed[:m], packed[m:2 * m], starts, packed[-2 * n:-n], packed[-n:]
 
 
 def left_modular_elements(L):
-    """All elements a with (b v a) ^ c = b v (a ^ c) whenever b < c,
-    decided on every cover b < c for a block of elements at once.  The
-    tables are read flat, [x, y] at x * n + y, in int32 (n * n < 2**31)."""
-    n = L.n
+    """All elements a with (b v a) ^ c = b v (a ^ c) whenever b < c: those
+    at which no cover y < z has a v y = a v z and a ^ y = a ^ z, decided
+    for a block of elements at once."""
     lower, upper = _cover_index(L, up=False)[:2]
-    lower_at = (lower * n).astype(np.int32)
-    upper_at = upper.astype(np.int32)
-    join, meet = L.join.ravel(), L.meet.ravel()
     step = max(1, lattice._BLOCK // max(1, len(lower)))
     found = []
-    for a0 in range(0, n, step):
-        rows = slice(a0, a0 + step)
-        # take, not [rows, lower]: mixed indexing returns a transposed layout
-        lhs = meet.take(L.join[rows].take(lower, axis=1) * n + upper_at)
-        rhs = join.take(L.meet[rows].take(upper, axis=1) + lower_at)
-        found += (a0 + np.flatnonzero((lhs == rhs).all(axis=1))).tolist()
+    for a0 in range(0, L.n, step):
+        # take, not [:, lower]: mixed indexing returns a transposed layout
+        join, meet = L.join[a0:a0 + step], L.meet[a0:a0 + step]
+        collapsed = (join.take(lower, axis=1) == join.take(upper, axis=1)) & (
+            meet.take(lower, axis=1) == meet.take(upper, axis=1)
+        )
+        found += (a0 + np.flatnonzero(~collapsed.any(axis=1))).tolist()
     return found
 
 

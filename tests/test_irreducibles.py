@@ -48,7 +48,7 @@ def test_hexagon_has_four_join_irreducibles():
     assert length(L) == 3  # strictly below |J|: not join extremal
 
 
-@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_weak_order_counts_match_the_literature(k):
     """The weak order of S_k has k! elements and the length k(k-1)/2 of
     the longest permutation's inversion set.  Its join irreducibles are
@@ -58,7 +58,7 @@ def test_weak_order_counts_match_the_literature(k):
     2005, ch. 3).  It is semidistributive and, for k >= 3, not
     distributive."""
     L = zoo.weak_order(k)
-    assert L.n == [1, 1, 2, 6, 24, 120][k]
+    assert L.n == [1, 1, 2, 6, 24, 120, 720][k]
     assert length(L) == k * (k - 1) // 2
     assert len(join_irreducibles(L)) == len(meet_irreducibles(L)) == 2**k - k - 1
     assert is_semidistributive(L)[0] and not is_distributive(L)[0]
