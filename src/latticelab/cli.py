@@ -27,7 +27,7 @@ from .atlas import (
 )
 from .classify import classify
 from .errors import FormatError, InvariantViolation, LatticeError
-from .io import format_covers, parse_covers, to_dot
+from .io import dumps_indented, format_covers, parse_covers, to_dot
 from .irreducibles import (
     perspectivity_witness_recursive,
     perspectivity_witness_scan,
@@ -105,7 +105,7 @@ def cmd_check(args):
     record = classify(L, el_budget=args.el_budget)
     _emit_dot(args, L)
     if args.json:
-        print(json.dumps(record.as_json(), sort_keys=True, indent=2))
+        print(dumps_indented(record.as_json()))
         return EXIT_OK
     rows = [
         ("elements", L.n),

@@ -5,10 +5,11 @@ cover pair per line (0-indexed, lower element first).  '#' starts a
 comment, blank lines are skipped.  The JSON equivalent is
 {"n": int, "covers": [[a, b], ...]}, every number a JSON integer.  Both
 spellings are accepted by the same parser; writers emit covers sorted by
-(a, b).
+(a, b).  `dumps_indented` writes the indented JSON of `check --json`.
 """
 
 import json
+from itertools import chain
 
 from .errors import FormatError
 
@@ -75,6 +76,47 @@ def format_covers(n, covers):
     lines = [str(n)]
     lines.extend(f"{a} {b}" for a, b in sorted(covers))
     return "\n".join(lines) + "\n"
+
+
+def dumps_indented(obj):
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, without the
+    pure-Python encoder that the standard library falls back to whenever
+    indent is set.
+
+    A dict with str keys recurses in sorted key order and a list item by
+    item.  A list of exact ints is one join, and a list of lists of exact
+    ints, all of one length k >= 1 (the el_labeling triples), is one
+    %-format over a template repeated once per row.  Ints are tested with
+    `type(x) is int`, never isinstance, so that True stays "true".  Anything
+    else, empty containers and scalars included, is json.dumps's own output,
+    re-indented to its depth.
+    """
+    return _indented(obj, "\n")
+
+
+def _indented(obj, nl):
+    "dumps_indented of obj at the depth whose line break plus pad is nl."
+    inner = nl + "  "
+    if isinstance(obj, dict) and obj and {*map(type, obj)} == {str}:
+        items = ("," + inner).join(
+            json.dumps(key) + ": " + _indented(value, inner)
+            for key, value in sorted(obj.items())
+        )
+        return "{" + inner + items + nl + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        sep = "," + inner
+        kinds = {*map(type, obj)}
+        if kinds == {int}:
+            return "[" + inner + sep.join(map(str, obj)) + nl + "]"
+        if kinds == {list} and len({*map(len, obj)}) == 1:
+            flat = tuple(chain.from_iterable(obj))
+            if flat and {*map(type, flat)} == {int}:
+                row_nl = inner + "  "
+                cells = ("," + row_nl).join(["%d"] * len(obj[0]))
+                row = "[" + row_nl + cells + inner + "]"
+                return ("[" + inner + sep.join([row] * len(obj)) + nl + "]") % flat
+        return "[" + inner + sep.join(_indented(x, inner) for x in obj) + nl + "]"
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl)
 
 
 def to_dot(poset, labeling=None):

@@ -161,7 +161,7 @@ class FinitePoset:
     def topological_order(self):
         "Element ids sorted by (number of elements strictly below, id)."
         below = self.leq.sum(axis=0)
-        return tuple(sorted(range(self.n), key=lambda v: (below[v], v)))
+        return tuple(np.argsort(below, kind="stable").tolist())
 
     @cached_property
     def _canonical(self):

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from latticelab import zoo
+from latticelab.atlas import enumerate_lattices
+from latticelab.classify import classify
 from latticelab.cli import main
 from latticelab.errors import FormatError, LatticeError
-from latticelab.io import format_covers, parse_covers, to_dot
-from latticelab.lattice import try_lattice
+from latticelab.io import dumps_indented, format_covers, parse_covers, to_dot
+from latticelab.lattice import dual, try_lattice
 from latticelab.poset import poset_from_covers
 from latticelab.shellability import el_search
 
@@ -182,6 +184,76 @@ def test_cli_check_json_deterministic(tmp_path, capsys):
     assert record["left_modular"] is False
     assert record["el_shellable"] == "no"
     assert list(record) == sorted(record)
+
+
+def indented(value):
+    "json.dumps(value, sort_keys=True, indent=2), which dumps_indented must equal."
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+JSON_INT = st.integers(-(2**70), 2**70)
+INT_ROWS = st.integers(1, 4).flatmap(
+    lambda k: st.lists(
+        st.lists(JSON_INT | st.booleans(), min_size=k, max_size=k)
+        | st.lists(JSON_INT, min_size=k, max_size=k),
+        max_size=5,
+    )
+)
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | JSON_INT
+    | st.floats()
+    | st.text(max_size=4)
+    | st.lists(JSON_INT, max_size=5)
+    | INT_ROWS
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300)
+@given(JSON_VALUES)
+@example([[1, True], [2, 3]])
+@example({"b": [1, 2], "a": [[1, 2, 3]]})
+def test_dumps_indented_is_json_dumps_indented(value):
+    assert dumps_indented(value) == indented(value)
+
+
+def test_dumps_indented_writes_every_check_record():
+    """Every class with n <= 7 and its dual, then one n = 8 search left
+    unknown at budget 0; n = 1's witness is an empty labeling and the
+    hexagon's a skeleton refutation."""
+    records = [
+        classify(M).as_json()
+        for n in range(1, 8)
+        for L in enumerate_lattices(n)
+        for M in (L, dual(L))
+    ]
+    assert records[0]["witnesses"]["el_labeling"] == []
+    assert "el_refuted_by" in classify(zoo.hexagon()).witnesses
+    unknown = next(
+        r
+        for L in enumerate_lattices(8)
+        if (r := classify(L, el_budget=0)).el_shellable == "unknown"
+    )
+    assert unknown.witnesses["el_search_budget"] == 0
+    records.append(unknown.as_json())
+    for record in records:
+        assert dumps_indented(record) == indented(record)
+
+
+@pytest.mark.parametrize(
+    "L", [zoo.m3(), zoo.hexagon(), zoo.boolean(6)], ids=["M3", "hexagon", "B6"]
+)
+def test_cli_check_json_is_json_dumps_indented(tmp_path, capsys, L):
+    assert main(["check", lat_file(tmp_path, L), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out == indented(json.loads(out)) + "\n"
 
 
 def test_cli_calls_in_one_process_share_no_flags(tmp_path, capsys):

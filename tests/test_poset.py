@@ -125,6 +125,23 @@ def test_levels_and_topological_order():
         assert order.index(a) < order.index(b)
 
 
+def test_topological_order_is_the_keyed_sort(large_lattices):
+    """Sorted by (elements below, id) on every class with n <= 8 under a
+    seeded relabeling, and on B7 and the partition lattice of 6 points."""
+    rng = random.Random(1)
+    posets = [large_lattices["boolean7"], large_lattices["partitions6"]]
+    for n in range(1, 9):
+        for L in enumerate_lattices(n):
+            perm = rng.sample(range(n), n)
+            posets.append(
+                poset_from_covers(n, [(perm[a], perm[b]) for a, b in L.covers])
+            )
+    for p in posets:
+        below = p.leq.sum(axis=0)
+        keyed = tuple(sorted(range(p.n), key=lambda v: (below[v], v)))
+        assert p.topological_order == keyed
+
+
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65])
 def test_up_and_down_sets_are_the_rows_and_columns_of_leq(n):
     "Sizes around the byte and word boundaries, relabeled at random."
