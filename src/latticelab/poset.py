@@ -126,17 +126,19 @@ class FinitePoset:
 
     @cached_property
     def upper_covers(self):
+        "The upper covers of each element, in increasing order as covers is sorted."
         ups = [[] for _ in range(self.n)]
         for a, b in self.covers:
             ups[a].append(b)
-        return tuple(tuple(sorted(u)) for u in ups)
+        return tuple(map(tuple, ups))
 
     @cached_property
     def lower_covers(self):
+        "The lower covers of each element, in increasing order as covers is sorted."
         downs = [[] for _ in range(self.n)]
         for a, b in self.covers:
             downs[b].append(a)
-        return tuple(tuple(sorted(d)) for d in downs)
+        return tuple(map(tuple, downs))
 
     @cached_property
     def levels(self):

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import random_ideal_posets
 from latticelab import zoo
 from latticelab.atlas import enumerate_lattices
 from latticelab.classify import classify
@@ -19,7 +20,7 @@ from latticelab.errors import (
     LatticeError,
     NotReducedError,
 )
-from latticelab.lattice import ideal_lattice, try_lattice
+from latticelab.lattice import dual, ideal_lattice, interval, try_lattice
 from latticelab.poset import (
     MAX_ELEMENTS,
     FinitePoset,
@@ -123,6 +124,50 @@ def test_levels_and_topological_order():
     order = p.topological_order
     for a, b in p.covers:
         assert order.index(a) < order.index(b)
+
+
+def assert_sorted_covers(p):
+    """covers is a sorted tuple, so the neighbour lists, built in cover
+    order, are each element's sorted upper and lower covers."""
+    assert type(p.covers) is tuple and list(p.covers) == sorted(p.covers), p
+    elements = range(p.n)
+    assert p.upper_covers == tuple(
+        tuple(sorted(b for a, b in p.covers if a == x)) for x in elements
+    ), p
+    assert p.lower_covers == tuple(
+        tuple(sorted(a for a, b in p.covers if b == x)) for x in elements
+    ), p
+
+
+def test_every_builder_keeps_covers_sorted():
+    """Every class with n <= 8 and its dual, the intervals and seeded
+    relabelings of the classes with n <= 6, ideal lattices, the zoo
+    families, and transitive_reduce and poset_from_covers on shuffled
+    pairs."""
+    rng = random.Random(39)
+    built = []
+    for n in range(1, 9):
+        for L in enumerate_lattices(n):
+            built += [L, dual(L)]
+            if n <= 6:
+                built.append(L.relabel(rng.sample(range(n), n)))
+                built.append(FinitePoset.relabel(L, rng.sample(range(n), n)))
+                built += [
+                    interval(L, a, b).lattice
+                    for a, b in zip(*np.nonzero(L.leq))
+                ]
+    built += [ideal_lattice(p)[0] for p in random_ideal_posets(39, 10, k=6)]
+    built += zoo.fixture_lattices().values()
+    built += [zoo.chain(5), zoo.antichain(4), zoo.boolean(4), zoo.weak_order(4)]
+    built.append(zoo.vee_plus_isolated())
+    for L in (zoo.boolean(5), zoo.weak_order(4), zoo.hexagon()):
+        covers = list(L.covers)
+        order = [(a, b) for a, b in np.argwhere(L.leq).tolist() if a != b]
+        for pairs in (covers, order):
+            rng.shuffle(pairs)
+        built += [poset_from_covers(L.n, covers), transitive_reduce(L.n, order)]
+    for p in built:
+        assert_sorted_covers(p)
 
 
 def test_topological_order_is_the_keyed_sort(large_lattices):

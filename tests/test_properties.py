@@ -340,6 +340,25 @@ def test_left_modular_chain_is_lexicographically_least():
         assert left_modular_chain(L) == expected, name
 
 
+def test_left_modular_chain_backs_off_a_dead_end():
+    """A ten-element class whose least left-modular atom, 3, has no
+    left-modular upper cover: the walk backs off it and finds the least
+    chain through 4, as the scan of every maximal chain does, under
+    seeded relabelings too.  As enumerated, no class with n <= 9 nor its
+    dual needs a back-off."""
+    covers = [(0, 3), (0, 4), (0, 5), (1, 9), (2, 9), (3, 6), (3, 7), (4, 2),
+              (4, 7), (4, 8), (5, 1), (5, 6), (5, 8), (6, 9), (7, 9), (8, 9)]
+    L = try_lattice(poset_from_covers(10, covers))
+    assert left_modular_elements(L) == [0, 3, 4, 5, 8, 9]
+    assert left_modular_chain(L) == (0, 4, 8, 9)
+    rng = random.Random(39)
+    for _ in range(20):
+        M = L.relabel(rng.sample(range(10), 10))
+        lm = set(left_modular_elements(M))
+        qualifying = [c for c in maximal_chains(M) if lm.issuperset(c)]
+        assert left_modular_chain(M) == min(qualifying)
+
+
 def test_every_maximal_chain_of_left_modular_elements_is_a_longest_one():
     "The lemma of the left_modular_chain docstring."
     found = 0

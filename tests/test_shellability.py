@@ -1039,6 +1039,26 @@ def test_left_modular_stage_agrees_with_the_search(up_to_eight):
             assert searched.status == el_search(L).status == "shellable", L
 
 
+def test_left_modular_certificate_counts_per_level():
+    """left_modular_chain finds a chain in 1, 1, 1, 2, 5, 14, 47, 182 and
+    803 classes for n = 1..9, and el_search decides each of them at its
+    left-modular stage, with that chain, 0 nodes and no search budget.
+    CI checks the 3,990 classes at n = 10."""
+    for n, want in enumerate((1, 1, 1, 2, 5, 14, 47, 182, 803), 1):
+        certified = 0
+        for L in enumerate_lattices(n):
+            chain = left_modular_chain(L)
+            if chain is None:
+                continue
+            result = el_search(L, budget=0)
+            assert (result.status, result.stats["stage"], result.nodes) == (
+                "shellable", "left_modular", 0
+            ), L
+            assert result.chain == chain, L
+            certified += 1
+        assert certified == want, n
+
+
 def test_classify_records_the_certificate_in_place_of_the_search():
     record = classify(zoo.hexagon())
     assert record.el_shellable == "no"
